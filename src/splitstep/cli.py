@@ -11,9 +11,10 @@ The config is a single JSON file with a "problem" block plus one block
 per subcommand; see the README for the full schema.  Exit codes are a
 stable contract: 0 success, 2 configuration/input errors, 3 numerical
 failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
-Single-threaded runs of the same config and scheme files produce
-byte-identical trajectory and convergence CSVs; the compare command
-embeds wall-clock timings, which naturally vary.
+Every command runs serially (``--jobs`` is accepted and has no effect).
+Runs of the same config and scheme files produce byte-identical
+trajectory and convergence CSVs; the compare command embeds wall-clock
+timings, which naturally vary.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from .control import StepControlConfig, integrate_adaptive, integrate_fixed, write_trajectory_csv
 from .diagnostics import (
+    FixedSolves,
     convergence_study,
     efficiency_compare,
     write_convergence_csv,
@@ -209,23 +210,16 @@ def _cmd_converge(args) -> int:
     what = tuple(ccfg.get("what", ("local", "global")))
     out = _out_dir(args)
     meta = _provenance(args, cfg)
-
-    def lookup(name):
-        return reg.pairs.get(name) or reg.scheme(name)
-
-    def one(name):
+    # the subjects share every fixed-step solve from f0 (reference ladders
+    # above all); a memo hit returns the very state a fresh solve would
+    solves = FixedSolves(prob, f0)
+    for name in subjects:
+        subject = reg.pairs.get(name) or reg.scheme(name)
         rep = convergence_study(
-            prob, lookup(name), f0, t0, t_end, hs, norms=norms, registry=reg, what=what
+            prob, subject, f0, t0, t_end, hs, norms=norms, registry=reg, what=what,
+            solves=solves,
         )
         write_convergence_csv(rep, out / f"convergence_{name.replace('*', 'adj')}.csv", meta)
-        return rep
-
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(one, subjects))
-    else:
-        reports = [one(s) for s in subjects]
-    for rep in reports:
         for s in rep.norms:
             print(
                 f"converge {rep.name}: s={s:g} "
@@ -313,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schemes", action="append", metavar="FILE",
                        help="extra scheme file; repeatable")
         p.add_argument("--out", help="output directory (default $SPLITSTEP_OUT or .)")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for sweeps")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; every command runs serially")
         p.add_argument("--seed", type=int, help="seed for randomized initial data")
 
     common(sub.add_parser("run", help="single integration, trajectory CSV + snapshot"))

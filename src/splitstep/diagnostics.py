@@ -10,8 +10,15 @@ Error measurement conventions:
   log(h).  Points within 10x of the reference floor are excluded from
   the fit; series whose every point sits at the floor are flagged exact.
 * Local errors compare one step S(h, u0) against a reference over
-  [t0, t0 + h] whose accuracy is driven down to 1% of the smallest
-  quantity being measured (including estimator deviations).
+  [t0, t0 + h] whose substeps are doubled until the largest delta
+  between consecutive rungs is below 1% of the smallest quantity being
+  measured (including estimator deviations), or until it stops
+  shrinking.  The latter means roundoff: finer rungs only gather
+  rounding error, so the rung before is the reference.  The deltas of
+  the rung used are reported as the local floor.
+* Fixed-step solves from the initial state go through a
+  :class:`FixedSolves` memo, so studies of several subjects on one
+  problem run each reference rung once.
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ from .control import (
     integrate_adaptive,
     integrate_fixed,
 )
-from .estimators import estimate_step
+from .estimators import _match_space, estimate_step
 from .exceptions import ReferenceAccuracyError
 from .problems import GrayScottParams, SplitProblem, _gs_rhs_a, _gs_rhs_b, gs_commutator
 from .schemes import SchemePair, SchemeRegistry, SplittingScheme, builtin_registry, compose_step
-from .spectral import MODAL, Field, sobolev_norm, to_modal, to_nodal
+from .spectral import Field, sobolev_norm
 
 __all__ = [
+    "FixedSolves",
     "reference_solution",
     "ConvergenceReport",
     "convergence_study",
@@ -48,14 +56,42 @@ __all__ = [
 ]
 
 
-def _same_space(ref: Field, other: Field) -> Field:
-    if other.space == ref.space:
-        return other
-    return to_modal(other) if ref.space == MODAL else to_nodal(other)
-
-
 def _err(a: Field, b: Field, s: float) -> float:
-    return sobolev_norm(a - _same_space(a, b), s)
+    return sobolev_norm(a - _match_space(a, b), s)
+
+
+class FixedSolves:
+    """Memo of fixed-step solves from one initial state of one problem.
+
+    :meth:`run` calls :func:`integrate_fixed` once per distinct
+    (scheme, t0, t_end, h) and hands out the final state read-only, so
+    callers sharing a state cannot alter each other's results.  Every
+    state stays held until the memo is dropped: make one per command and
+    let it go with the command.  Not safe for concurrent use.
+    """
+
+    def __init__(self, prob: SplitProblem, f0: Field):
+        self.prob = prob
+        self.f0 = f0
+        self._states = {}
+
+    def run(self, scheme: SplittingScheme, t0: float, t_end: float, h: float) -> Field:
+        key = (scheme, t0, t_end, h)
+        state = self._states.get(key)
+        if state is None:
+            out, _ = integrate_fixed(self.prob, scheme, self.f0, t0, t_end, h)
+            data = out.data.view()
+            data.flags.writeable = False
+            state = self._states[key] = Field(out.grid, data, out.space)
+        return state
+
+
+def _solves_for(prob: SplitProblem, f0: Field, solves: Optional[FixedSolves]) -> FixedSolves:
+    if solves is None:
+        return FixedSolves(prob, f0)
+    if solves.prob is not prob or solves.f0 is not f0:
+        raise ValueError("the FixedSolves memo was made for another problem or initial state")
+    return solves
 
 
 def reference_solution(
@@ -69,12 +105,15 @@ def reference_solution(
     target: Optional[dict] = None,
     norms=(0.0,),
     max_halvings: int = 16,
+    solves: Optional[FixedSolves] = None,
 ):
     """Fixed-step reference with step halving until self-consistency.
 
     ``target`` maps Sobolev index s to the acceptable floor; None means
     1e-10 relative to the solution norm.  Returns (state, info) with
-    info = {"scheme", "h", "floor": {s: last halving delta}}.
+    info = {"scheme", "h", "floor": {s: last halving delta}}; the state
+    is read-only.  ``solves`` shares the ladder's solves with other
+    callers from the same (prob, f0).
     """
     if scheme is None:
         reg = registry if registry is not None else builtin_registry()
@@ -82,12 +121,13 @@ def reference_solution(
     span = t_end - t0
     if span <= 0:
         return f0, {"scheme": scheme.name, "h": 0.0, "floor": {s: 0.0 for s in norms}}
+    solves = _solves_for(prob, f0, solves)
     h = h0 if h0 is not None else span / 64.0
-    prev, _ = integrate_fixed(prob, scheme, f0, t0, t_end, h)
+    prev = solves.run(scheme, t0, t_end, h)
     floor = {}
     for _ in range(max_halvings):
         h *= 0.5
-        cur, _ = integrate_fixed(prob, scheme, f0, t0, t_end, h)
+        cur = solves.run(scheme, t0, t_end, h)
         floor = {s: _err(cur, prev, s) for s in norms}
         ok = True
         for s in norms:
@@ -163,6 +203,7 @@ def convergence_study(
     registry: Optional[SchemeRegistry] = None,
     reference=None,
     what=("local", "global"),
+    solves: Optional[FixedSolves] = None,
 ) -> ConvergenceReport:
     """Dyadic h-sweep of local/global errors with slope fits.
 
@@ -170,7 +211,11 @@ def convergence_study(
     record the estimator value, its deviation from the true local error
     and the controller's own local error.  ``reference`` may carry a
     precomputed (state, info) pair from :func:`reference_solution`.
+    ``solves`` is a :class:`FixedSolves` memo for (prob, f0) shared by
+    the studies of several subjects; their fixed-step solves (global
+    errors, references, one-step ladders) then run once.
     """
+    solves = _solves_for(prob, f0, solves)
     pair = subject if isinstance(subject, SchemePair) else None
     scheme = pair.integrator if pair else subject
     reg = registry if registry is not None else builtin_registry()
@@ -184,22 +229,22 @@ def convergence_study(
             # bootstrap the accuracy target from a provisional reference;
             # the relative floor keeps exact splittings (error = roundoff)
             # from demanding an unreachable reference
-            prov, _ = integrate_fixed(prob, ref_scheme, f0, t0, t_end, min(hs) / 8.0)
-            fmin, _ = integrate_fixed(prob, scheme, f0, t0, t_end, min(hs))
+            prov = solves.run(ref_scheme, t0, t_end, min(hs) / 8.0)
+            fmin = solves.run(scheme, t0, t_end, min(hs))
             target = {
                 s: max(1e-2 * _err(fmin, prov, s), 1e-12 * sobolev_norm(prov, s), 1e-14)
                 for s in norms
             }
             reference = reference_solution(
                 prob, f0, t0, t_end, scheme=ref_scheme, h0=min(hs) / 8.0,
-                target=target, norms=norms,
+                target=target, norms=norms, solves=solves,
             )
         ref_state, ref_info = reference
         rep.ref_floor = dict(ref_info["floor"])
         for s in norms:
             rep.global_[s] = np.empty(len(hs))
         for i, h in enumerate(hs):
-            fh, _ = integrate_fixed(prob, scheme, f0, t0, t_end, h)
+            fh = solves.run(scheme, t0, t_end, h)
             for s in norms:
                 rep.global_[s][i] = _err(fh, ref_state, s)
         for s in norms:
@@ -219,7 +264,7 @@ def convergence_study(
         for i, h in enumerate(hs):
             u1 = compose_step(scheme, prob, h, f0)
             res = estimate_step(pair, prob, h, f0) if pair is not None else None
-            ref1, deltas = _one_step_reference(prob, ref_scheme, f0, t0, h, norms, u1, res)
+            ref1, deltas = _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res)
             for s in norms:
                 local_floor[s] = max(local_floor[s], deltas[s])
                 rep.local[s][i] = _err(u1, ref1, s)
@@ -251,17 +296,29 @@ def convergence_study(
     return rep
 
 
-def _one_step_reference(prob, ref_scheme, f0, t0, h, norms, u1, res, max_halvings=10):
-    """Reference over [t0, t0+h], resolved to 1% of the smallest quantity
-    under study: the one-step errors per norm, and for pairs also the
-    estimator deviation and the controller's local error."""
+def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=10):
+    """Reference over [t0, t0+h] from ``solves``, resolved to 1% of the
+    smallest quantity under study: the one-step errors per norm, and for
+    pairs also the estimator deviation and the controller's local error.
+
+    Each rung doubles the substeps (8, 16, ...) and its deltas are its
+    distance from the rung before, per norm.  The ladder stops when the
+    largest delta meets the goal, and returns that rung; or when the
+    largest delta no longer shrinks, because the rungs have reached
+    roundoff and finer ones only gather rounding error, and returns the
+    rung before; or after ``max_halvings`` rungs, and returns the last.
+    Returns (state, deltas): the deltas of the returned rung are the
+    floor the caller reports.
+    """
     substeps = 8
-    prev, _ = integrate_fixed(prob, ref_scheme, f0, t0, t0 + h, h / substeps)
-    cur, deltas = prev, {s: np.inf for s in norms}
+    prev = solves.run(ref_scheme, t0, t0 + h, h / substeps)
+    prev_deltas = {s: np.inf for s in norms}
     for _ in range(max_halvings):
         substeps *= 2
-        cur, _ = integrate_fixed(prob, ref_scheme, f0, t0, t0 + h, h / substeps)
+        cur = solves.run(ref_scheme, t0, t0 + h, h / substeps)
         deltas = {s: _err(cur, prev, s) for s in norms}
+        if max(deltas.values()) >= max(prev_deltas.values()):
+            return prev, prev_deltas
         needs = [_err(u1, cur, s) for s in norms]
         if res is not None:
             true_l2 = _err(res.u_next, cur, 0.0)
@@ -270,9 +327,9 @@ def _one_step_reference(prob, ref_scheme, f0, t0, h, norms, u1, res, max_halving
         # same roundoff-aware floor as the global bootstrap
         goal = 1e-2 * max(min(needs), 1e-12 * sobolev_norm(cur, 0.0), 1e-15)
         if max(deltas.values()) <= goal:
-            break
-        prev = cur
-    return cur, deltas
+            return cur, deltas
+        prev, prev_deltas = cur, deltas
+    return prev, prev_deltas
 
 
 @dataclass(frozen=True)
@@ -367,7 +424,7 @@ def commutator_check(f: Field, params: GrayScottParams, eps: float = 1e-3) -> Co
     c2 = fd_bracket(eps / 2.0)
     richardson = (4.0 / 3.0) * c2 - (1.0 / 3.0) * c1
     scale = max(sobolev_norm(com, 0.0), 1e-30)
-    rel = sobolev_norm(com - _same_space(com, richardson), 0.0) / scale
+    rel = sobolev_norm(com - _match_space(com, richardson), 0.0) / scale
     return CommutatorReport(value=com, fd_value=richardson, rel_difference=rel, eps=eps)
 
 

@@ -374,6 +374,30 @@ def test_converge_multiple_subjects_parallel_matches_serial(tmp_path, capsys):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+def test_converge_csvs_do_not_depend_on_which_subjects_share_the_run(tmp_path, capsys):
+    # the subjects share fixed-step solves; each CSV must still come out as
+    # if its subject ran alone
+    def run(subjects):
+        cfg = converge_config(subjects=subjects, t_end=0.5, norms=[0.0, 1.0])
+        cfg["problem"].update(n=64, initial="gs_bump")
+        out = tmp_path / "-".join(subjects)
+        path = write_cfg(tmp_path, cfg, name=f"{out.name}.json")
+        assert main(["converge", "--config", str(path), "--out", str(out)]) == 0
+        csvs = {}
+        for name in subjects:
+            head, body = (out / f"convergence_{name}.csv").read_bytes().split(b"\n", 1)
+            # the provenance line hashes the config, which names the subjects
+            assert head.startswith(b"# config_sha256=")
+            csvs[name] = body
+        return csvs
+
+    both = run(["strang", "emb23c"])
+    assert run(["emb23c", "strang"]) == both
+    assert run(["strang"])["strang"] == both["strang"]
+    assert run(["emb23c"])["emb23c"] == both["emb23c"]
+    capsys.readouterr()
+
+
 def test_converge_missing_hs(tmp_path, capsys):
     cfg = converge_config()
     del cfg["converge"]["hs"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _oracles import expm_dense
+from _oracles import expm_dense, rk4
 
 from splitstep import (
     Field,
@@ -13,17 +13,21 @@ from splitstep import (
     TorusGrid,
     builtin_registry,
     commutator_check,
+    compose_step,
     convergence_study,
     efficiency_compare,
+    estimate_step,
     fit_loglog,
     gray_scott_problem,
     initial_condition,
     linear_problem,
     reference_solution,
+    sobolev_norm,
     to_nodal,
     write_convergence_csv,
     write_efficiency_csv,
 )
+from splitstep.diagnostics import FixedSolves, _err, _one_step_reference
 
 REG = builtin_registry()
 GRID = TorusGrid(1, 1.0, 16)
@@ -97,6 +101,75 @@ def test_reference_solution_empty_span():
     prob, f = lin_prob(), lin_state()
     ref, info = reference_solution(prob, f, 0.5, 0.5)
     assert ref is f and info["h"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# fixed-step memo and one-step reference ladders
+
+
+class RecordingSolves(FixedSolves):
+    """FixedSolves that also lists every (substeps, state) it hands out."""
+
+    def __init__(self, prob, f0):
+        super().__init__(prob, f0)
+        self.calls = []
+
+    def run(self, scheme, t0, t_end, h):
+        state = super().run(scheme, t0, t_end, h)
+        self.calls.append((round((t_end - t0) / h), state))
+        return state
+
+
+def test_one_step_ladder_stops_at_the_roundoff_floor():
+    # Gray-Scott, 1D n=128, gs_bump, emb23c at h=0.01: the goal (1% of the
+    # estimator deviation) lies below the H1 roundoff floor, so only the
+    # stopping rule ends the ladder
+    grid = TorusGrid(1, np.pi, 128)
+    prob = gray_scott_problem(grid, GrayScottParams())
+    f0 = initial_condition("gs_bump", grid)
+    pair = REG.pair("emb23c")
+    ref_scheme = REG.highest_order_scheme(arity=prob.arity)
+    h, norms = 0.01, (0.0, 1.0)
+    u1 = compose_step(pair.integrator, prob, h, f0)
+    res = estimate_step(pair, prob, h, f0)
+    solves = RecordingSolves(prob, f0)
+    ref, deltas = _one_step_reference(solves, ref_scheme, 0.0, h, norms, u1, res)
+
+    substeps = [n for n, _ in solves.calls]
+    assert max(substeps) <= 64, substeps
+    i = next(k for k, (_, state) in enumerate(solves.calls) if state is ref)
+    assert i >= 1 and substeps[i] == 2 * substeps[i - 1]
+    # the floor reported is the delta of the rung returned
+    before = solves.calls[i - 1][1]
+    assert deltas == {s: _err(ref, before, s) for s in norms}
+
+    oracle = rk4(lambda y: to_nodal(prob.full_rhs(y)), to_nodal(f0), h, 200)
+    assert sobolev_norm(to_nodal(ref) - oracle, 0.0) <= 1e-13
+
+
+def test_fixed_solves_hands_out_one_read_only_state_per_key():
+    prob, f = lin_prob(), lin_state()
+    strang = REG.scheme("strang")
+    solves = FixedSolves(prob, f)
+    state = solves.run(strang, 0.0, 0.2, 0.05)
+    assert solves.run(strang, 0.0, 0.2, 0.05) is state
+    with pytest.raises(ValueError):
+        state.data[...] = 0.0
+    ref, _ = reference_solution(prob, f, 0.0, 0.2, solves=solves)
+    with pytest.raises(ValueError):
+        ref.data[0, 0] = 1.0
+    # an empty span hands back f0's values without freezing the caller's f0
+    same = solves.run(strang, 0.5, 0.5, 0.1)
+    assert not same.data.flags.writeable and f.data.flags.writeable
+    assert np.array_equal(same.data, f.data)
+
+
+def test_fixed_solves_belongs_to_one_problem_and_state():
+    prob, f = lin_prob(), lin_state()
+    other = initial_condition("random_smooth", GRID, m=1, seed=7)
+    with pytest.raises(ValueError):
+        convergence_study(prob, REG.scheme("lie"), other, 0.0, 0.2, [0.02, 0.01],
+                          solves=FixedSolves(prob, f))
 
 
 # ---------------------------------------------------------------------------
