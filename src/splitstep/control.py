@@ -7,8 +7,9 @@ The update rule for an accepted or rejected attempt with estimate est is
 with safety factor alpha = 0.9 and growth/shrink guards alpha_min = 0.25,
 alpha_max = 4.0; est = 0 grows by alpha_max.  The result is clipped to
 [h_min, h_max].  An attempt is rejected when est > reject_threshold*tol
-and retried with the shrunken step; hitting h_min while still failing
-aborts the run.  The step advances with the integrator value S(h, u);
+and retried with the shrunken step; an attempt whose flows fail is
+rejected too and retried with h*alpha_min.  Hitting h_min while still
+failing aborts the run.  The step advances with the integrator value S(h, u);
 advancing with the control value (local extrapolation) is opt-in.
 """
 
@@ -137,22 +138,30 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
     """Advance one accepted step, retrying with smaller h on rejection.
 
     Returns (state, t_new, h_next, records) where records holds every
-    attempt including rejected ones.
+    attempt including rejected ones.  A trial step whose flows fail is
+    rejected too, with est None and 0 flow evaluations.
     """
     p = cfg.order_p if cfg.order_p is not None else pair.order
     records = []
     while True:
-        res = estimate_step(pair, prob, h, f, norm=cfg.norm)
-        accepted = res.est_norm <= cfg.reject_threshold * cfg.tol
-        records.append(StepRecord(t, h, res.est_norm, accepted, res.flow_evals))
-        h_next = next_step_size(h, res.est_norm, cfg, p)
-        if accepted:
-            out = res.u_control if cfg.local_extrapolation else res.u_next
-            return _finish(out, cfg), t + h, h_next, records
+        try:
+            res = estimate_step(pair, prob, h, f, norm=cfg.norm)
+        except NumericalError as exc:
+            # the trial state is discarded either way; shrink as for est = inf
+            records.append(StepRecord(t, h, None, False, 0))
+            reason = f"trial step failed: {exc}"
+            h_next = next_step_size(h, np.inf, cfg, p)
+        else:
+            accepted = res.est_norm <= cfg.reject_threshold * cfg.tol
+            records.append(StepRecord(t, h, res.est_norm, accepted, res.flow_evals))
+            h_next = next_step_size(h, res.est_norm, cfg, p)
+            if accepted:
+                out = res.u_control if cfg.local_extrapolation else res.u_next
+                return _finish(out, cfg), t + h, h_next, records
+            reason = f"est={res.est_norm:.3e} > tol={cfg.tol:g}"
         if h <= cfg.h_min * (1.0 + 1e-12):
             raise ToleranceAbortError(
-                f"step at t={t:g} rejected with h=h_min={cfg.h_min:g} "
-                f"(est={res.est_norm:.3e} > tol={cfg.tol:g})"
+                f"step at t={t:g} rejected with h=h_min={cfg.h_min:g} ({reason})"
             )
         h = h_next
 
@@ -237,8 +246,7 @@ def calibrate_initial_step(prob: SplitProblem, pair: SchemePair, f0: Field,
     Runs ``iters`` estimate/update rounds from h0 without advancing the
     state; useful when the startup transient should be excluded.  A trial
     step that blows up (stiff flows probed far beyond their stability
-    range) is retried at half the step; unlike a live integration, no
-    state is at risk here, so retreating is safe.
+    range) is retried at half the step.
     """
     p = cfg.order_p if cfg.order_p is not None else pair.order
     h = h0

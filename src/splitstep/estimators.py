@@ -88,10 +88,9 @@ def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
 
 def _estimate_embedded(pair, prob, h, f, norm) -> EstimateResult:
     L = pair.shared_prefix_len
-    prefix_word = SchemePairWords.prefix(pair)
-    u_pref, n_pref = apply_word(prefix_word, prob, h, f)
-    u_next, n_int = apply_word(SchemePairWords.suffix(pair.integrator, L), prob, h, u_pref)
-    u_ctrl, n_ctrl = apply_word(SchemePairWords.suffix(pair.controller, L), prob, h, u_pref)
+    u_pref, n_pref = apply_word(pair.integrator.word(0, L), prob, h, f)
+    u_next, n_int = apply_word(pair.integrator.word(L), prob, h, u_pref)
+    u_ctrl, n_ctrl = apply_word(pair.controller.word(L), prob, h, u_pref)
     diff = _combine(1.0, u_next, -1.0, u_ctrl)
     return EstimateResult(u_next, u_ctrl, controller_norm(diff, norm),
                           n_pref + n_int + n_ctrl)
@@ -105,26 +104,3 @@ def _estimate_two_scheme(sa, sb, ca, cb, prob, h, f, norm) -> EstimateResult:
     # for Milne ||(S - S~)/(1 - gamma)||.
     diff = _combine(1.0, ua, -1.0, control)
     return EstimateResult(ua, control, controller_norm(diff, norm), na + nb)
-
-
-class SchemePairWords:
-    """Word-level helpers for stage-prefix sharing."""
-
-    @staticmethod
-    def prefix(pair) -> tuple:
-        stages = pair.integrator.stages[: pair.shared_prefix_len]
-        out = []
-        for st in stages:
-            for slot, c in enumerate(st):
-                if c != 0:
-                    out.append((slot, c))
-        return tuple(out)
-
-    @staticmethod
-    def suffix(scheme, start: int) -> tuple:
-        out = []
-        for st in scheme.stages[start:]:
-            for slot, c in enumerate(st):
-                if c != 0:
-                    out.append((slot, c))
-        return tuple(out)

@@ -21,12 +21,19 @@ operators commute and every consistent splitting is exact.
 
 All flows take a (possibly complex) time first: ``flow(t, field)``.
 Diffusive flows refuse Re(t) < 0, which would amplify high modes.
+
+Each operator's math is written once.  Pointwise operators are kernels
+over the nodal components, which ``_nodal`` alone converts, stacks,
+checks (overflow is a BlowUpError) and dealiases.  Modal operators read
+their symbol from a read-only cache per (grid, params) (``_kappa_sq``,
+``_gs_symbol``, ``_vdp_symbol``) shared by the flow and the rhs.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +44,7 @@ from .spectral import (
     NODAL,
     Field,
     TorusGrid,
+    _k_abs1,
     _k_sq,
     dealias_23,
     modal_tail_fraction,
@@ -57,10 +65,6 @@ __all__ = [
     "initial_condition",
     "PRESETS",
 ]
-
-Flow = Callable[[complex, Field], Field]
-Rhs = Callable[[Field], Field]
-
 
 @dataclass(frozen=True)
 class GrayScottParams:
@@ -118,15 +122,42 @@ def _check_finite(data: np.ndarray, what: str):
         raise BlowUpError(f"{what}: state left the finite regime")
 
 
+def _nodal(f: Field, what: str, kernel, *args, dealias: bool = False) -> Field:
+    """Apply a pointwise kernel to the nodal components of ``f``.
+
+    ``kernel(*components, *args)`` returns the new components.  Overflow
+    in the kernel surfaces as BlowUpError naming ``what``, not as a
+    warning; ``dealias`` applies the 2/3 rule to the result.
+    """
+    comps = to_nodal(f).data
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.stack(kernel(*comps, *args))
+    _check_finite(out, what)
+    res = Field(f.grid, out, NODAL)
+    return dealias_23(res) if dealias else res
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _kappa_sq(grid: TorusGrid) -> np.ndarray:
+    # (pi/a)^2 * sum k_j^2: minus the Laplacian's multiplier
+    return _read_only(_k_sq(grid) * (np.pi / grid.a) ** 2)[0]
+
+
 # ---------------------------------------------------------------------------
 # Gray-Scott
 # ---------------------------------------------------------------------------
 
-def _gs_linear_factors(grid: TorusGrid, p: GrayScottParams, t: complex):
-    ksq = _k_sq(grid) * (np.pi / grid.a) ** 2
-    lam_u = -p.c1 * ksq - p.alpha
-    lam_v = -p.c2 * ksq - p.beta
-    return np.exp(lam_u * t), np.exp(lam_v * t)
+@lru_cache(maxsize=64)
+def _gs_symbol(grid: TorusGrid, p: GrayScottParams) -> np.ndarray:
+    # per-mode rates (lambda_u, lambda_v) of A, stacked like the components
+    ksq = _kappa_sq(grid)
+    return _read_only(np.stack([-p.c1 * ksq - p.alpha, -p.c2 * ksq - p.beta]))[0]
 
 
 def gs_linear_flow(t: complex, f: Field, p: GrayScottParams) -> Field:
@@ -136,20 +167,32 @@ def gs_linear_flow(t: complex, f: Field, p: GrayScottParams) -> Field:
     u0 <- 1 + (u0 - 1)*exp(-alpha*t).
     """
     _require_forward(t, "gs_linear_flow")
-    c = to_modal(f)
-    fu, fv = _gs_linear_factors(f.grid, p, t)
-    out = np.empty_like(c.data)
-    out[0] = c.data[0] * fu
-    out[1] = c.data[1] * fv
-    zero = (0,) * f.grid.dim
+    out = to_modal(f).data * np.exp(_gs_symbol(f.grid, p) * t)
     # affine feed acts on the mean mode only
-    out[(0, *zero)] += 1.0 - np.exp(-p.alpha * t)
+    out[(0,) * (f.grid.dim + 1)] += 1.0 - np.exp(-p.alpha * t)
     return Field(f.grid, out, MODAL)
+
+
+def _gs_rhs_a(f: Field, p: GrayScottParams) -> Field:
+    out = _gs_symbol(f.grid, p) * to_modal(f).data
+    out[(0,) * (f.grid.dim + 1)] += p.alpha
+    return to_nodal(Field(f.grid, out, MODAL))
 
 
 def _gs_reaction_terms(u, v):
     w = u * v * v  # shared product keeps u+v conservation exact per stage
     return -w, w
+
+
+def _gs_reaction_rk4(u, v, dt, steps):
+    for _ in range(steps):
+        k1u, k1v = _gs_reaction_terms(u, v)
+        k2u, k2v = _gs_reaction_terms(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = _gs_reaction_terms(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = _gs_reaction_terms(u + dt * k3u, v + dt * k3v)
+        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return u, v
 
 
 def gs_reaction_flow_rk4(
@@ -160,76 +203,41 @@ def gs_reaction_flow_rk4(
     Substep count is max(1, ceil(|t|/substep)).  The reaction conserves
     u+v at every node and RK4 inherits that up to roundoff.
     """
-    nod = to_nodal(f)
-    u = nod.data[0].copy()
-    v = nod.data[1].copy()
     steps = max(1, int(np.ceil(abs(t) / substep)))
-    dt = t / steps
-    # overflow in the cubic terms surfaces as BlowUpError, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1u, k1v = _gs_reaction_terms(u, v)
-            k2u, k2v = _gs_reaction_terms(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
-            k3u, k3v = _gs_reaction_terms(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
-            k4u, k4v = _gs_reaction_terms(u + dt * k3u, v + dt * k3v)
-            u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        out = np.stack([u, v])
-    _check_finite(out, "gs_reaction_flow_rk4")
-    res = Field(f.grid, out, NODAL)
-    return dealias_23(res) if dealias else res
+    return _nodal(f, "gs_reaction_flow_rk4", _gs_reaction_rk4, t / steps, steps,
+                  dealias=dealias)
 
 
 def gs_reaction_b_flow(t: complex, f: Field, dealias: bool = False) -> Field:
     """Exact flow of B = (0, u*v^2): v <- v/(1 - u*v*t) with u frozen."""
-    nod = to_nodal(f)
-    u = nod.data[0]
-    v = nod.data[1]
-    denom = 1.0 - u * v * t
-    if np.min(np.abs(denom)) < 1e-8:
-        raise BlowUpError("gs_reaction_b_flow: Riccati pole reached")
-    out = np.stack([u, v / denom])
-    _check_finite(out, "gs_reaction_b_flow")
-    res = Field(f.grid, out, NODAL)
-    return dealias_23(res) if dealias else res
+
+    def riccati(u, v):
+        denom = 1.0 - u * v * t
+        if np.min(np.abs(denom)) < 1e-8:
+            raise BlowUpError("gs_reaction_b_flow: Riccati pole reached")
+        return u, v / denom
+
+    return _nodal(f, "gs_reaction_b_flow", riccati, dealias=dealias)
 
 
 def gs_reaction_c_flow(t: complex, f: Field, dealias: bool = False) -> Field:
     """Exact flow of the u-depletion piece: u <- u*exp(-v^2*t), v frozen."""
-    nod = to_nodal(f)
-    u = nod.data[0]
-    v = nod.data[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.stack([u * np.exp(-(v * v) * t), v.copy()])
-    _check_finite(out, "gs_reaction_c_flow")
-    res = Field(f.grid, out, NODAL)
-    return dealias_23(res) if dealias else res
-
-
-def _gs_rhs_a(f: Field, p: GrayScottParams) -> Field:
-    c = to_modal(f)
-    ksq = _k_sq(f.grid) * (np.pi / f.grid.a) ** 2
-    out = np.empty_like(c.data)
-    out[0] = (-p.c1 * ksq - p.alpha) * c.data[0]
-    out[1] = (-p.c2 * ksq - p.beta) * c.data[1]
-    out[(0, *(0,) * f.grid.dim)] += p.alpha
-    return to_nodal(Field(f.grid, out, MODAL))
+    return _nodal(f, "gs_reaction_c_flow", lambda u, v: (u * np.exp(-(v * v) * t), v),
+                  dealias=dealias)
 
 
 def _gs_rhs_b(f: Field) -> Field:
-    nod = to_nodal(f)
-    du, dv = _gs_reaction_terms(nod.data[0], nod.data[1])
-    return Field(f.grid, np.stack([du, dv]), NODAL)
+    return _nodal(f, "gray_scott B", _gs_reaction_terms)
 
 
 def gs_reaction_jacobian(f: Field, w: Field) -> Field:
     """Directional derivative B'(U) W of the reaction at U along W."""
-    nod = to_nodal(f)
-    wn = to_nodal(w)
-    u, v = nod.data[0], nod.data[1]
-    w1, w2 = wn.data[0], wn.data[1]
-    top = -(v * v) * w1 - 2.0 * u * v * w2
-    return Field(f.grid, np.stack([top, -top]), NODAL)
+
+    def terms(u, v, w1, w2):
+        top = -(v * v) * w1 - 2.0 * u * v * w2
+        return top, -top
+
+    return _nodal(f, "gs_reaction_jacobian", terms, *to_nodal(w).data)
 
 
 def gs_commutator(f: Field, p: GrayScottParams) -> Field:
@@ -257,17 +265,13 @@ def gray_scott_problem(
     dealias: bool = False,
 ) -> SplitProblem:
     """Two-operator Gray-Scott split: A linear/affine, B reaction via RK4."""
-
-    def flow_a(t, f):
-        return gs_linear_flow(t, f, params)
-
-    def flow_b(t, f):
-        return gs_reaction_flow_rk4(t, f, substep=rk4_substep, dealias=dealias)
-
     return SplitProblem(
         name="gray_scott",
-        flows=(flow_a, flow_b),
-        rhs=(lambda f: _gs_rhs_a(f, params), _gs_rhs_b),
+        flows=(
+            partial(gs_linear_flow, p=params),
+            partial(gs_reaction_flow_rk4, substep=rk4_substep, dealias=dealias),
+        ),
+        rhs=(partial(_gs_rhs_a, p=params), _gs_rhs_b),
         m=2,
     )
 
@@ -282,29 +286,20 @@ def gray_scott_abc_problem(
     B = (0, u*v^2) and C = (-u*v^2, 0); their sum is the full reaction.
     """
 
-    def flow_a(t, f):
-        return gs_linear_flow(t, f, params)
-
-    def flow_b(t, f):
-        return gs_reaction_b_flow(t, f, dealias=dealias)
-
-    def flow_c(t, f):
-        return gs_reaction_c_flow(t, f, dealias=dealias)
-
     def rhs_b(f):
-        nod = to_nodal(f)
-        w = nod.data[0] * nod.data[1] ** 2
-        return Field(f.grid, np.stack([np.zeros_like(w), w]), NODAL)
+        return _nodal(f, "gray_scott_abc B", lambda u, v: (np.zeros_like(u), u * v**2))
 
     def rhs_c(f):
-        nod = to_nodal(f)
-        w = nod.data[0] * nod.data[1] ** 2
-        return Field(f.grid, np.stack([-w, np.zeros_like(w)]), NODAL)
+        return _nodal(f, "gray_scott_abc C", lambda u, v: (-(u * v**2), np.zeros_like(u)))
 
     return SplitProblem(
         name="gray_scott_abc",
-        flows=(flow_a, flow_b, flow_c),
-        rhs=(lambda f: _gs_rhs_a(f, params), rhs_b, rhs_c),
+        flows=(
+            partial(gs_linear_flow, p=params),
+            partial(gs_reaction_b_flow, dealias=dealias),
+            partial(gs_reaction_c_flow, dealias=dealias),
+        ),
+        rhs=(partial(_gs_rhs_a, p=params), rhs_b, rhs_c),
         m=2,
     )
 
@@ -312,6 +307,18 @@ def gray_scott_abc_problem(
 # ---------------------------------------------------------------------------
 # Van der Pol system
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _vdp_symbol(grid: TorusGrid, p: VdpParams) -> tuple:
+    # (m11, lap_v, m22, tau, delta): the diagonal of M_k, the diffusive
+    # part lap_v of m22, and the eigenvalues tau +/- delta of M_k
+    kap2 = _kappa_sq(grid)
+    m11 = -p.du * kap2
+    lap_v = -p.dv * kap2
+    m22 = lap_v + 1.0 / p.eps
+    disc = np.asarray(0.25 * (m11 - m22) ** 2 - 1.0 / p.eps, dtype=np.complex128)
+    return _read_only(m11, lap_v, m22, 0.5 * (m11 + m22), np.sqrt(disc))
+
 
 def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
     """Exact flow of the coupled linear operator, per-mode 2x2 exponential.
@@ -322,16 +329,8 @@ def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
     tiny (defective or near-defective mode).
     """
     _require_forward(t, "vdp_linear_flow")
-    c = to_modal(f)
-    kap2 = _k_sq(f.grid) * (np.pi / f.grid.a) ** 2
-    m11 = -p.du * kap2
-    m12 = 1.0
-    m21 = -1.0 / p.eps
-    m22 = -p.dv * kap2 + 1.0 / p.eps
-
-    tau = 0.5 * (m11 + m22)
-    disc = np.asarray(0.25 * (m11 - m22) ** 2 + m12 * m21, dtype=np.complex128)
-    delta = np.sqrt(disc)
+    c = to_modal(f).data
+    m11, _, m22, tau, delta = _vdp_symbol(f.grid, p)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ep = np.exp((tau + delta) * t)
         em = np.exp((tau - delta) * t)
@@ -341,54 +340,38 @@ def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
         series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
         sin_part = np.where(dt_small, series, sin_part)
 
+        # e12 = sin_part since m12 = 1
         e11 = cos_part + sin_part * (m11 - tau)
-        e12 = sin_part * m12
-        e21 = sin_part * m21
+        e21 = sin_part * (-1.0 / p.eps)
         e22 = cos_part + sin_part * (m22 - tau)
-
-        out = np.empty_like(c.data)
-        out[0] = e11 * c.data[0] + e12 * c.data[1]
-        out[1] = e21 * c.data[0] + e22 * c.data[1]
+        out = np.stack([e11 * c[0] + sin_part * c[1], e21 * c[0] + e22 * c[1]])
     _check_finite(out, "vdp_linear_flow")
     return Field(f.grid, out, MODAL)
 
 
 def vdp_reaction_flow(t: complex, f: Field, p: VdpParams) -> Field:
     """Exact flow of B = (0, -u^2*v/eps): v <- v*exp(-u^2*t/eps)."""
-    nod = to_nodal(f)
-    u = nod.data[0]
-    v = nod.data[1]
     # u^2 need not have nonnegative real part mid-composition (complex
-    # stage times); overflow here surfaces as BlowUpError, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.stack([u.copy(), v * np.exp(-(u * u) * t / p.eps)])
-    _check_finite(out, "vdp_reaction_flow")
-    return Field(f.grid, out, NODAL)
+    # stage times), so the exponential may overflow
+    return _nodal(f, "vdp_reaction_flow", lambda u, v: (u, v * np.exp(-(u * u) * t / p.eps)))
 
 
 def van_der_pol_problem(grid: TorusGrid, params: VdpParams = VdpParams()) -> SplitProblem:
     """Two-operator split of the van der Pol reaction-diffusion system."""
 
     def rhs_a(f):
-        c = to_modal(f)
-        kap2 = _k_sq(f.grid) * (np.pi / f.grid.a) ** 2
-        out = np.empty_like(c.data)
-        out[0] = -params.du * kap2 * c.data[0] + c.data[1]
-        out[1] = -params.dv * kap2 * c.data[1] + (c.data[1] - c.data[0]) / params.eps
+        c = to_modal(f).data
+        m11, lap_v = _vdp_symbol(f.grid, params)[:2]
+        out = np.stack([m11 * c[0] + c[1], lap_v * c[1] + (c[1] - c[0]) / params.eps])
         return to_nodal(Field(f.grid, out, MODAL))
 
     def rhs_b(f):
-        nod = to_nodal(f)
-        u, v = nod.data[0], nod.data[1]
-        bot = -(u * u) * v / params.eps
-        return Field(f.grid, np.stack([np.zeros_like(bot), bot]), NODAL)
+        return _nodal(f, "van_der_pol B",
+                      lambda u, v: (np.zeros_like(u), -(u * u) * v / params.eps))
 
     return SplitProblem(
         name="van_der_pol",
-        flows=(
-            lambda t, f: vdp_linear_flow(t, f, params),
-            lambda t, f: vdp_reaction_flow(t, f, params),
-        ),
+        flows=(partial(vdp_linear_flow, p=params), partial(vdp_reaction_flow, p=params)),
         rhs=(rhs_a, rhs_b),
         m=2,
     )
@@ -409,7 +392,7 @@ def linear_problem(
     V = 0, in which case A and B commute and any consistent splitting
     reproduces the exact flow of A+B.
     """
-    ksq = _k_sq(grid) * (np.pi / grid.a) ** 2
+    lam = -diffusion * _kappa_sq(grid)  # symbol of A
     if potential is None:
         vx = np.zeros(grid.shape)
     else:
@@ -417,20 +400,16 @@ def linear_problem(
 
     def flow_a(t, f):
         _require_forward(t, "linear_problem A-flow")
-        c = to_modal(f)
-        return Field(f.grid, c.data * np.exp(-diffusion * ksq * t), MODAL)
+        return Field(f.grid, to_modal(f).data * np.exp(lam * t), MODAL)
 
     def flow_b(t, f):
-        nod = to_nodal(f)
-        return Field(f.grid, nod.data * np.exp(vx * t), NODAL)
+        return _nodal(f, "linear_problem B-flow", lambda u: (u * np.exp(vx * t),))
 
     def rhs_a(f):
-        c = to_modal(f)
-        return to_nodal(Field(f.grid, -diffusion * ksq * c.data, MODAL))
+        return to_nodal(Field(f.grid, lam * to_modal(f).data, MODAL))
 
     def rhs_b(f):
-        nod = to_nodal(f)
-        return Field(f.grid, nod.data * vx, NODAL)
+        return _nodal(f, "linear_problem B", lambda u: (u * vx,))
 
     return SplitProblem(name="linear", flows=(flow_a, flow_b), rhs=(rhs_a, rhs_b), m=1)
 
@@ -452,8 +431,6 @@ def gs_bump(grid: TorusGrid) -> Field:
 def _rough_profile(grid: TorusGrid, q: float, amp: float, seed: int) -> np.ndarray:
     # power-law modal tail |c_k| ~ (1+|k|)^-q: limited Sobolev regularity
     rng = np.random.default_rng(seed)
-    from .spectral import _k_abs1  # local import to keep module namespace tidy
-
     decay = (1.0 + _k_abs1(grid)) ** (-q)
     coef = decay * np.exp(2j * np.pi * rng.random(grid.shape))
     g = np.fft.ifftn(coef).real
@@ -487,8 +464,6 @@ def vdp_gaussians(grid: TorusGrid) -> Field:
 def random_smooth(grid: TorusGrid, m: int = 2, seed: int = 0, scale: float = 0.3) -> Field:
     """Random band-limited smooth field, reproducible from the seed."""
     rng = np.random.default_rng(seed)
-    from .spectral import _k_abs1
-
     # hard cutoff at |k| <= n/8 keeps the field fully resolved on its grid
     decay = np.exp(-((_k_abs1(grid) / 4.0) ** 2)) * (_k_abs1(grid) <= grid.n / 8.0)
     data = np.empty((m,) + grid.shape, dtype=np.complex128)

@@ -101,10 +101,10 @@ class SplittingScheme:
     def is_complex(self) -> bool:
         return any(c.imag != 0.0 for st in self.stages for c in st)
 
-    def word(self) -> tuple:
-        """Nonzero (slot, coefficient) letters in application order."""
+    def word(self, start: int = 0, stop: Optional[int] = None) -> tuple:
+        """Nonzero (slot, coefficient) letters of stages[start:stop] in application order."""
         out = []
-        for st in self.stages:
+        for st in self.stages[start:stop]:
             for slot, c in enumerate(st):
                 if c != 0:
                     out.append((slot, c))

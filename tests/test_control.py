@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from splitstep import (
+    BlowUpError,
     ConfigError,
     Field,
+    SplitProblem,
     StepControlConfig,
     ToleranceAbortError,
     TorusGrid,
+    UnstableStepError,
     builtin_registry,
     calibrate_initial_step,
     compose_step,
@@ -210,6 +213,37 @@ def test_default_h_init_formula():
     cfg2 = StepControlConfig(tol=1e-6, h_init=0.003)
     _, traj2 = integrate_adaptive(prob, REG.pair("lie-avg"), f, 0.0, 0.5, cfg2)
     assert traj2.records[0].h == pytest.approx(0.003)
+
+
+def fragile_problem(h_limit, error=BlowUpError):
+    """The linear problem with a B-flow that raises above |t| = h_limit."""
+    base = lin_prob()
+
+    def flow_b(t, f):
+        if abs(t) > h_limit:
+            raise error(f"fragile B-flow: |t| = {abs(t):g} > {h_limit:g}")
+        return base.flows[1](t, f)
+
+    return SplitProblem("fragile", (base.flows[0], flow_b), base.rhs, base.m)
+
+
+def test_failed_trial_step_is_a_rejection():
+    prob, f = fragile_problem(0.03), lin_state()
+    cfg = StepControlConfig(tol=1e-6, h_init=0.2)
+    f1, traj = integrate_adaptive(prob, REG.pair("lie-avg"), f, 0.0, 0.5, cfg)
+    first, second = traj.records[:2]
+    assert (first.h, first.est, first.accepted, first.flow_evals) == (0.2, None, False, 0)
+    assert second.h == pytest.approx(0.2 * cfg.alpha_min)
+    assert sum(r.h for r in traj.accepted_steps()) == pytest.approx(0.5, rel=1e-12)
+    assert all(r.est is not None and r.h <= 0.03 for r in traj.accepted_steps())
+    assert traj.n_rejected >= 2
+
+
+def test_failing_trial_steps_still_abort_at_h_min():
+    prob, f = fragile_problem(0.0, error=UnstableStepError), lin_state()
+    cfg = StepControlConfig(tol=1e-6, h_init=0.01, h_min=1e-3)
+    with pytest.raises(ToleranceAbortError, match="trial step failed"):
+        step_adaptive(prob, REG.pair("lie-avg"), 0.0, 0.01, f, cfg)
 
 
 # ---------------------------------------------------------------------------

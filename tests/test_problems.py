@@ -213,6 +213,63 @@ def test_vdp_a_flow_matches_rhs_route():
     assert rel_err(got.data, ref.data) <= 1e-9
 
 
+def cos_potential_problem(grid):
+    return linear_problem(grid, diffusion=0.2, potential=lambda x: np.cos(np.pi * x))
+
+
+@pytest.mark.parametrize(
+    "make,slot",
+    [
+        (lambda grid: gray_scott_problem(grid, GS), 1),
+        (cos_potential_problem, 0),
+        (cos_potential_problem, 1),
+    ],
+    ids=["gray_scott_rk4_reaction", "linear_a", "linear_b"],
+)
+def test_factory_flow_matches_rhs_route(make, slot):
+    # the same loop for the slots no other test checks through a factory
+    grid = TorusGrid(1, 1.0, 8)
+    prob = make(grid)
+    f0 = Field(grid, random_states(grid, 1, seed=14)[0][: prob.m])
+    t = 0.005
+    ref = rk4(prob.rhs[slot], f0, t, 5_000)
+    got = to_nodal(prob.flows[slot](t, f0))
+    assert rel_err(got.data, ref.data) <= 1e-9
+
+
+def test_symbol_caches_are_keyed_by_grid_and_read_only():
+    from splitstep.problems import _gs_symbol, _kappa_sq, _vdp_symbol
+
+    caches = (_kappa_sq, _gs_symbol, _vdp_symbol)
+    # same n, different half-width: a cache keyed on the shape alone would
+    # hand grid B the symbol of grid A without any shape error
+    grid_a, grid_b = TorusGrid(1, 1.0, 16), TorusGrid(1, 2.0, 16)
+    vdp = VdpParams(eps=0.1)
+    flows = [
+        lambda t, f: gs_linear_flow(t, f, GS),
+        lambda t, f: vdp_linear_flow(t, f, vdp),
+        lambda t, f: linear_problem(f.grid, diffusion=0.2).flows[0](t, f),
+    ]
+    states = {g: Field(g, random_states(g, 1, seed=15)[0]) for g in (grid_a, grid_b)}
+    t = 0.01 + 0.005j
+
+    def fresh(flow, grid):
+        for cache in caches:
+            cache.cache_clear()
+        return flow(t, states[grid]).data
+
+    for flow in flows:
+        want = {g: fresh(flow, g) for g in (grid_a, grid_b)}
+        for g in (grid_a, grid_b, grid_a):
+            assert np.array_equal(flow(t, states[g]).data, want[g])
+
+    cached = [_kappa_sq(grid_a), _gs_symbol(grid_a, GS), *_vdp_symbol(grid_a, vdp)]
+    for arr in cached:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # semigroup, identity, complex times
 # ---------------------------------------------------------------------------
