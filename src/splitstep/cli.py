@@ -142,6 +142,19 @@ def _require(block: dict, key: str, where: str):
         raise ConfigError(f"config: {where!r} block needs {key!r}") from None
 
 
+def _setup(args, command: str):
+    """Config, registry, problem, initial state, the command's block and its span."""
+    cfg = _load_config(args.config)
+    reg = _registry_from(args)
+    prob, f0 = _build_problem(cfg, seed=args.seed)
+    try:
+        block = cfg[command]
+    except KeyError:
+        raise ConfigError(f"config: missing {command!r} block") from None
+    t0 = float(block.get("t0", 0.0))
+    return cfg, reg, prob, f0, block, t0, float(_require(block, "t_end", command))
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("SPLITSTEP_OUT") or "."
     path = Path(out)
@@ -150,15 +163,7 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    reg = _registry_from(args)
-    prob, f0 = _build_problem(cfg, seed=args.seed)
-    try:
-        rcfg = cfg["run"]
-    except KeyError:
-        raise ConfigError("config: missing 'run' block") from None
-    t0 = float(rcfg.get("t0", 0.0))
-    t_end = float(_require(rcfg, "t_end", "run"))
+    cfg, reg, prob, f0, rcfg, t0, t_end = _setup(args, "run")
     out = _out_dir(args)
     outputs = rcfg.get("outputs", {})
     mode = rcfg.get("mode", "adaptive")
@@ -195,18 +200,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    reg = _registry_from(args)
-    prob, f0 = _build_problem(cfg, seed=args.seed)
-    try:
-        ccfg = cfg["converge"]
-    except KeyError:
-        raise ConfigError("config: missing 'converge' block") from None
+    cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "converge")
     subjects = ccfg.get("subjects") or [_require(ccfg, "subject", "converge")]
     hs = [float(h) for h in _require(ccfg, "hs", "converge")]
     norms = tuple(float(s) for s in ccfg.get("norms", [0.0]))
-    t0 = float(ccfg.get("t0", 0.0))
-    t_end = float(_require(ccfg, "t_end", "converge"))
     what = tuple(ccfg.get("what", ("local", "global")))
     out = _out_dir(args)
     meta = _provenance(args, cfg)
@@ -237,16 +234,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = _load_config(args.config)
-    reg = _registry_from(args)
-    prob, f0 = _build_problem(cfg, seed=args.seed)
-    try:
-        ccfg = cfg["compare"]
-    except KeyError:
-        raise ConfigError("config: missing 'compare' block") from None
+    cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "compare")
     pair = reg.pair(_require(ccfg, "pair", "compare"))
-    t0 = float(ccfg.get("t0", 0.0))
-    t_end = float(_require(ccfg, "t_end", "compare"))
     base = dict(ccfg.get("control", {}))
     rows = []
     for tol in ccfg.get("tols", [base.get("tol", 1e-4)]):

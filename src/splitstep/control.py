@@ -166,9 +166,10 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
         h = h_next
 
 
-def _default_h_init(cfg: StepControlConfig, p: int, span: float) -> float:
+def _default_h_init(cfg: StepControlConfig, pair: SchemePair, span: float) -> float:
     if cfg.h_init is not None:
         return cfg.h_init
+    p = cfg.order_p if cfg.order_p is not None else pair.order
     return span * cfg.tol ** (1.0 / (p + 1))
 
 
@@ -188,9 +189,8 @@ def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
     if t_end == t0:
         return f0, traj
     start = time.perf_counter()
-    p = cfg.order_p if cfg.order_p is not None else pair.order
     span = t_end - t0
-    h = min(_default_h_init(cfg, p, span), span)
+    h = min(_default_h_init(cfg, pair, span), span)
     h = float(min(cfg.h_max, max(cfg.h_min, h)))
     pending = sorted(snapshot_times) if snapshot_times else []
     t, f = t0, f0

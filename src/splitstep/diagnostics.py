@@ -31,6 +31,7 @@ import numpy as np
 
 from .control import (
     StepControlConfig,
+    _default_h_init,
     calibrate_initial_step,
     integrate_adaptive,
     integrate_fixed,
@@ -262,14 +263,15 @@ def convergence_study(
             rep.ctrl_local = np.empty(len(hs))
         local_floor = {s: 0.0 for s in norms}
         for i, h in enumerate(hs):
-            u1 = compose_step(scheme, prob, h, f0)
+            # a pair's integrator value is the plain step S(h, f0), bitwise
             res = estimate_step(pair, prob, h, f0) if pair is not None else None
+            u1 = res.u_next if res is not None else compose_step(scheme, prob, h, f0)
             ref1, deltas = _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res)
             for s in norms:
                 local_floor[s] = max(local_floor[s], deltas[s])
                 rep.local[s][i] = _err(u1, ref1, s)
             if res is not None:
-                true_l2 = _err(res.u_next, ref1, 0.0)
+                true_l2 = _err(u1, ref1, 0.0)
                 rep.est[i] = res.est_norm
                 rep.est_true[i] = true_l2
                 rep.est_deviation[i] = abs(res.est_norm - true_l2)
@@ -321,7 +323,8 @@ def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=
             return prev, prev_deltas
         needs = [_err(u1, cur, s) for s in norms]
         if res is not None:
-            true_l2 = _err(res.u_next, cur, 0.0)
+            # for a pair, u1 is res.u_next: reuse its L2 error
+            true_l2 = needs[norms.index(0.0)] if 0.0 in norms else _err(u1, cur, 0.0)
             needs.append(abs(res.est_norm - true_l2))
             needs.append(_err(res.u_control, cur, 0.0))
         # same roundoff-aware floor as the global bootstrap
@@ -362,14 +365,13 @@ def efficiency_compare(
     """Adaptive run versus equidistant run at the smallest accepted step.
 
     With ``calibrate`` (default) the initial step is settled onto the
-    tolerance plateau first, so the startup ramp does not dominate the
+    tolerance plateau first, from the guess :func:`integrate_adaptive`
+    would start with, so the startup ramp does not dominate the
     minimum.  The final clipped landing step is likewise excluded from
     the minimum.  The equidistant run uses the bare integrator.
     """
     if calibrate and cfg.h_init is None:
-        h0 = calibrate_initial_step(
-            prob, pair, f0, cfg, h0=(t_end - t0) * cfg.tol ** (1.0 / (pair.order + 1))
-        )
+        h0 = calibrate_initial_step(prob, pair, f0, cfg, h0=_default_h_init(cfg, pair, t_end - t0))
         cfg = replace(cfg, h_init=min(h0, t_end - t0))
     _, traj = integrate_adaptive(prob, pair, f0, t0, t_end, cfg)
     acc = traj.accepted_steps()

@@ -1,17 +1,21 @@
 """A-posteriori local error estimators built from scheme pairs.
 
 Every estimator produces the integrator value S(h, u), a higher-quality
-control value, and est_norm = ||S(h, u) - control||.  The three recipes:
+control value, and est_norm = ||S(h, u) - control||.  All pair kinds are
+one recipe (see :class:`SchemePair`): the integrator's first
+``shared_prefix_len`` stages run once, then the integrator and a second
+scheme S~ finish from that state.  The control value is
 
-* embedded:        control = controller step of order p+1; the first
-                   shared stages are computed once and reused.
-* adjoint average: control = (S + S*)/2 with S* the adjoint step.  For
-                   odd order p the averaged value has order p+1 and
-                   (S - S*)/2 is an asymptotically correct estimate.
-* Milne device:    two schemes of the same order p whose leading error
-                   terms are L and gamma*L.  Then
-                   control = -gamma/(1-gamma)*S + 1/(1-gamma)*S~ and
-                   (S - S~)/(1-gamma) estimates the error of S.
+* embedded:        S~ itself, a controller of order p+1 sharing the
+                   prefix with the integrator (no Milne weight);
+* Milne device:    -gamma/(1-gamma)*S + 1/(1-gamma)*S~ for a partner S~ of
+                   the same order p whose leading error term is gamma
+                   times that of S; then est = ||(S - S~)/(1-gamma)||;
+* adjoint average: the Milne device with gamma = -1 over the adjoint
+                   S~ = S*, i.e. (S + S*)/2.  For odd order p the
+                   averaged value has order p+1 and (S - S*)/2 is an
+                   asymptotically correct estimate.  "palindromic" is a
+                   checked alias of this kind.
 
 Norms are the discrete L2 norm over all components by default; a nodal
 max norm is available for controllers that prefer it.
@@ -73,34 +77,14 @@ def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
             f"pair {pair.name} has arity {pair.integrator.arity}, problem "
             f"{prob.name} has arity {prob.arity}"
         )
-    if pair.kind == "embedded":
-        return _estimate_embedded(pair, prob, h, f, norm)
-    if pair.kind in ("adjoint_average", "palindromic"):
-        return _estimate_two_scheme(pair.integrator, pair.partner, 0.5, 0.5,
-                                    prob, h, f, norm)
-    if pair.kind == "milne":
-        g = pair.gamma
-        return _estimate_two_scheme(pair.integrator, pair.partner,
-                                    -g / (1.0 - g), 1.0 / (1.0 - g),
-                                    prob, h, f, norm)
-    raise ConfigError(f"unknown pair kind {pair.kind!r}")
-
-
-def _estimate_embedded(pair, prob, h, f, norm) -> EstimateResult:
     L = pair.shared_prefix_len
     u_pref, n_pref = apply_word(pair.integrator.word(0, L), prob, h, f)
     u_next, n_int = apply_word(pair.integrator.word(L), prob, h, u_pref)
-    u_ctrl, n_ctrl = apply_word(pair.controller.word(L), prob, h, u_pref)
-    diff = _combine(1.0, u_next, -1.0, u_ctrl)
-    return EstimateResult(u_next, u_ctrl, controller_norm(diff, norm),
-                          n_pref + n_int + n_ctrl)
-
-
-def _estimate_two_scheme(sa, sb, ca, cb, prob, h, f, norm) -> EstimateResult:
-    ua, na = apply_word(sa.word(), prob, h, f)
-    ub, nb = apply_word(sb.word(), prob, h, f)
-    control = _combine(ca, ua, cb, ub)
-    # est = ||S - control||; for the average this is ||(S - S*)/2||,
-    # for Milne ||(S - S~)/(1 - gamma)||.
-    diff = _combine(1.0, ua, -1.0, control)
-    return EstimateResult(ua, control, controller_norm(diff, norm), na + nb)
+    u_second, n_second = apply_word(pair.second.word(L), prob, h, u_pref)
+    g = pair.milne_gamma
+    # an embedded controller's value stays in its own space
+    control = u_second if g is None else _combine(-g / (1.0 - g), u_next,
+                                                  1.0 / (1.0 - g), u_second)
+    diff = _combine(1.0, u_next, -1.0, control)
+    return EstimateResult(u_next, control, controller_norm(diff, norm),
+                          n_pref + n_int + n_second)

@@ -118,7 +118,7 @@ def _require_forward(t: complex, what: str):
 
 
 def _check_finite(data: np.ndarray, what: str):
-    if not np.all(np.isfinite(data.view(np.float64))):
+    if not np.isfinite(data).all():
         raise BlowUpError(f"{what}: state left the finite regime")
 
 
@@ -336,9 +336,8 @@ def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
         em = np.exp((tau - delta) * t)
         cos_part = 0.5 * (ep + em)
         dt_small = np.abs(delta * t) < 1e-6
-        sin_part = np.where(dt_small, 1.0, (ep - em) / (2.0 * delta))
         series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
-        sin_part = np.where(dt_small, series, sin_part)
+        sin_part = np.where(dt_small, series, (ep - em) / (2.0 * delta))
 
         # e12 = sin_part since m12 = 1
         e11 = cos_part + sin_part * (m11 - tau)

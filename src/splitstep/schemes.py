@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -195,18 +195,20 @@ _PAIR_KINDS = ("embedded", "adjoint_average", "milne", "palindromic")
 class SchemePair:
     """An integrator plus the recipe for its local error estimate.
 
-    kind = "embedded":        controller of order p+1 shares the first
-                              ``shared_prefix_len`` stages with the
-                              integrator, whose work is reused.
-    kind = "adjoint_average": controller is the average of the scheme and
-                              its adjoint; requires odd order p.
-    kind = "milne":           partner scheme of the same order whose
-                              leading error constant is gamma times the
+    Every kind is one recipe: the integrator's first ``shared_prefix_len``
+    stages run once, the integrator and the ``second`` scheme finish from
+    there, and the control value is the second scheme's value, or, when
+    ``milne_gamma`` is set, its Milne combination with the integrator's.
+
+    kind = "embedded":        second = controller of order p+1; only this
+                              kind shares a prefix (0 for the others).
+    kind = "milne":           second = partner of order p whose leading
+                              error constant is gamma times the
                               integrator's; requires gamma != 1.
-    kind = "palindromic":     adjoint_average for a palindromic scheme;
-                              the adjoint is the scheme with operator
-                              roles exchanged, so it costs no new
-                              coefficients.  Requires odd order p.
+    kind = "adjoint_average": Milne with gamma = -1 over the adjoint, i.e.
+                              control (S + S*)/2; requires odd order p.
+    kind = "palindromic":     checked alias of adjoint_average for a
+                              palindromic scheme (adjoint = roles swapped).
     """
 
     name: str
@@ -216,6 +218,8 @@ class SchemePair:
     partner: Optional[SplittingScheme] = None
     gamma: Optional[complex] = None
     shared_prefix_len: int = 0
+    second: SplittingScheme = field(init=False, repr=False, compare=False)
+    milne_gamma: Optional[complex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _PAIR_KINDS:
@@ -224,8 +228,6 @@ class SchemePair:
         if self.kind == "embedded":
             if self.controller is None:
                 raise ConfigError(f"{self.name}: embedded pair needs a controller")
-            if self.controller.arity != self.integrator.arity:
-                raise ConfigError(f"{self.name}: integrator/controller arity mismatch")
             if self.controller.order != p + 1:
                 raise ConfigError(
                     f"{self.name}: controller order {self.controller.order}, expected {p + 1}"
@@ -237,6 +239,7 @@ class SchemePair:
                 raise ConfigError(
                     f"{self.name}: first {L} stages of integrator and controller differ"
                 )
+            second, gamma = self.controller, None
         elif self.kind in ("adjoint_average", "palindromic"):
             if p % 2 == 0:
                 raise ConfigError(
@@ -245,16 +248,27 @@ class SchemePair:
             if self.kind == "palindromic" and not self.integrator.palindromic:
                 raise ConfigError(f"{self.name}: {self.integrator.name} is not palindromic")
             object.__setattr__(self, "partner", adjoint(self.integrator))
-        elif self.kind == "milne":
+            second, gamma = self.partner, -1.0
+        else:
             if self.partner is None:
                 raise ConfigError(f"{self.name}: Milne pair needs a partner scheme")
             if self.partner.order != p:
                 raise ConfigError(f"{self.name}: Milne partner must match order {p}")
             if self.gamma is None or self.gamma == 1:
                 raise ConfigError(f"{self.name}: Milne pair needs gamma != 1")
-        if self.partner is not None and self.partner.stages == self.integrator.stages:
+            second, gamma = self.partner, self.gamma
+        if second.arity != self.integrator.arity:
+            raise ConfigError(
+                f"{self.name}: {second.name} has arity {second.arity}, "
+                f"{self.integrator.name} has arity {self.integrator.arity}"
+            )
+        if gamma is not None:
+            object.__setattr__(self, "shared_prefix_len", 0)
+        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "milne_gamma", gamma)
+        if second.stages == self.integrator.stages:
             warnings.warn(
-                f"{self.name}: partner coincides with the integrator; the error "
+                f"{self.name}: {second.name} coincides with the integrator; the error "
                 "estimate will be identically zero",
                 DegeneratePairWarning,
                 stacklevel=2,

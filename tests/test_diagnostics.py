@@ -237,6 +237,27 @@ def test_efficiency_compare_smoke():
     assert row.time_adaptive >= 0 and row.time_equidist >= 0
 
 
+def test_efficiency_compare_initial_guess_honours_order_p(monkeypatch):
+    # calibration starts from the same guess integrate_adaptive would
+    # make: span * tol^(1/(p+1)) with p = cfg.order_p when it is set
+    import splitstep.diagnostics as diagnostics
+
+    seen = []
+    real = diagnostics.calibrate_initial_step
+
+    def spy(prob, pair, f0, cfg, h0, **kw):
+        seen.append(h0)
+        return real(prob, pair, f0, cfg, h0, **kw)
+
+    monkeypatch.setattr(diagnostics, "calibrate_initial_step", spy)
+    prob, f = lin_prob(), lin_state()
+    for order_p, p in ((None, 1), (3, 3)):
+        cfg = StepControlConfig(tol=1e-6, order_p=order_p)
+        efficiency_compare(prob, REG.pair("lie-avg"), f, 0.0, 0.5, cfg)
+        assert seen[-1] == 0.5 * 1e-6 ** (1.0 / (p + 1))
+    assert len(seen) == 2
+
+
 # ---------------------------------------------------------------------------
 # commutator check
 

@@ -18,6 +18,7 @@ from splitstep import (
     compose_step,
     controller_norm,
     estimate_step,
+    gray_scott_abc_problem,
     gray_scott_problem,
     initial_condition,
     linear_problem,
@@ -153,6 +154,47 @@ def test_milne_general_gamma_weights():
     assert np.allclose(res.u_control.data, control, rtol=0, atol=1e-15)
     est_manual = controller_norm(Field(GRID, ua.data - control))
     assert res.est_norm == pytest.approx(est_manual, rel=1e-13)
+
+
+def _problem_of_arity(arity):
+    if arity == 2:
+        return linear_test_problem(), smooth_state(11)
+    grid = TorusGrid(1, 20.0, 16)
+    return gray_scott_abc_problem(grid), initial_condition("random_smooth", grid, seed=2)
+
+
+@pytest.mark.parametrize("pair_name", sorted(REG.pairs))
+def test_integrator_value_is_the_plain_step_bitwise(pair_name):
+    # the shared prefix and the suffix are the integrator's letters in
+    # order, so callers may take u_next as S(h, u) itself
+    pair = REG.pair(pair_name)
+    prob, f = _problem_of_arity(pair.integrator.arity)
+    res = estimate_step(pair, prob, 0.03, f)
+    u = compose_step(pair.integrator, prob, 0.03, f)
+    assert res.u_next.space == u.space
+    assert np.array_equal(res.u_next.data, u.data)
+    assert res.flow_evals == (
+        pair.integrator.flow_evals + pair.second.flow_evals
+        - len(pair.integrator.word(0, pair.shared_prefix_len))
+    )
+    if pair.milne_gamma is None:
+        # an embedded control value stays in the controller's own space
+        ctl = compose_step(pair.controller, prob, 0.03, f)
+        assert res.u_control.space == ctl.space
+        assert np.array_equal(res.u_control.data, ctl.data)
+
+
+def test_milne_stray_controller_still_uses_partner():
+    prob = linear_test_problem()
+    f = smooth_state(12)
+    lie, lie_adj = REG.scheme("lie"), REG.scheme("lie*")
+    plain = SchemePair("m2", "milne", lie, partner=lie_adj, gamma=2.0)
+    stray = SchemePair("m2", "milne", lie, partner=lie_adj, gamma=2.0,
+                       controller=REG.scheme("strang"), shared_prefix_len=1)
+    a = estimate_step(plain, prob, 0.05, f)
+    b = estimate_step(stray, prob, 0.05, f)
+    assert np.array_equal(a.u_control.data, b.u_control.data)
+    assert a.est_norm == b.est_norm and a.flow_evals == b.flow_evals
 
 
 def test_degenerate_pair_estimates_zero():

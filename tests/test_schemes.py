@@ -328,6 +328,34 @@ def test_pair_validation_milne():
         SchemePair("x", "bogus_kind", lie)
 
 
+def test_pair_recipe_per_kind():
+    # every kind is a second scheme plus an optional Milne weight
+    emb = REG.pair("emb23c")
+    assert emb.second is emb.controller and emb.milne_gamma is None
+    milne = REG.pair("lie-milne")
+    assert milne.second is REG.scheme("lie*") and milne.milne_gamma == -1.0
+    for name in ("lie-avg", "lie-pal", "comp3c-avg", "lie3-avg"):
+        pair = REG.pair(name)
+        assert pair.second == adjoint(pair.integrator) and pair.milne_gamma == -1.0
+        assert pair.shared_prefix_len == 0
+    g = milne.milne_gamma
+    assert (-g / (1.0 - g), 1.0 / (1.0 - g)) == (0.5, 0.5)  # exact average weights
+
+
+def test_average_pair_ignores_stray_keys():
+    # the kind picks the second scheme: the adjoint, never a stray key
+    lie, strang = REG.scheme("lie"), REG.scheme("strang")
+    avg = SchemePair("x", "adjoint_average", lie, controller=strang, partner=strang,
+                     shared_prefix_len=1)
+    assert avg.second == REG.scheme("lie*") and avg.partner == avg.second
+    assert avg.shared_prefix_len == 0
+
+
+def test_pair_validation_second_scheme_arity():
+    with pytest.raises(ConfigError, match="arity"):
+        SchemePair("x", "milne", REG.scheme("lie"), partner=REG.scheme("lie3"), gamma=-1.0)
+
+
 def test_degenerate_pair_warns():
     lie = REG.scheme("lie")
     with pytest.warns(DegeneratePairWarning):
@@ -449,6 +477,7 @@ def test_empty_scheme_file_is_a_noop(tmp_path):
         ' "partner": "ghost", "gamma": -1.0}]}',  # dangling reference
         '{"pairs": [{"name": "x", "kind": "embedded", "integrator": "emb2c"}]}',
         '{"pairs": [{"name": "x", "kind": "sideways", "integrator": "lie"}]}',
+        '{"pairs": [{"name": "x", "kind": "palindromic", "integrator": "comp3c"}]}',
         '{"schemes": [{"name": "strang", "order": 2,'
         ' "stages": [[0.5, 1.0], [0.5, 0.0]]}]}',  # collides with builtin
         "{not json",
