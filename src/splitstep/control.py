@@ -8,9 +8,9 @@ with safety factor alpha = 0.9 and growth/shrink guards alpha_min = 0.25,
 alpha_max = 4.0; est = 0 grows by alpha_max.  The result is clipped to
 [h_min, h_max].  An attempt is rejected when est > reject_threshold*tol
 and retried with the shrunken step; an attempt whose flows fail is
-rejected too and retried with h*alpha_min.  Hitting h_min while still
-failing aborts the run.  The step advances with the integrator value S(h, u);
-advancing with the control value (local extrapolation) is opt-in.
+rejected too and retried with h*alpha_min, also in calibration.  Hitting
+h_min while still failing aborts the run.  The step advances with the
+integrator value S(h, u); local extrapolation (the control value) is opt-in.
 """
 
 from __future__ import annotations
@@ -133,6 +133,12 @@ def _finish(state: Field, cfg: StepControlConfig) -> Field:
     return state
 
 
+def _abort_at_h_min(h: float, cfg: StepControlConfig, what: str, reason: str):
+    """A rejected attempt at h_min cannot shrink further: abort the run."""
+    if h <= cfg.h_min * (1.0 + 1e-12):
+        raise ToleranceAbortError(f"{what} rejected with h=h_min={cfg.h_min:g} ({reason})")
+
+
 def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
                   f: Field, cfg: StepControlConfig):
     """Advance one accepted step, retrying with smaller h on rejection.
@@ -159,10 +165,7 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
                 out = res.u_control if cfg.local_extrapolation else res.u_next
                 return _finish(out, cfg), t + h, h_next, records
             reason = f"est={res.est_norm:.3e} > tol={cfg.tol:g}"
-        if h <= cfg.h_min * (1.0 + 1e-12):
-            raise ToleranceAbortError(
-                f"step at t={t:g} rejected with h=h_min={cfg.h_min:g} ({reason})"
-            )
+        _abort_at_h_min(h, cfg, f"step at t={t:g}", reason)
         h = h_next
 
 
@@ -245,20 +248,19 @@ def calibrate_initial_step(prob: SplitProblem, pair: SchemePair, f0: Field,
 
     Runs ``iters`` estimate/update rounds from h0 without advancing the
     state; useful when the startup transient should be excluded.  A trial
-    step that blows up (stiff flows probed far beyond their stability
-    range) is retried at half the step.
+    step whose flows fail (stiff flows probed far beyond their stability
+    range) is rejected as in :func:`step_adaptive`, down to h_min.
     """
     p = cfg.order_p if cfg.order_p is not None else pair.order
     h = h0
     for _ in range(iters):
-        for _ in range(60):
+        while True:
             try:
                 est = estimate_step(pair, prob, h, f0, norm=cfg.norm).est_norm
                 break
-            except NumericalError:
-                h = 0.5 * h
-                if h < cfg.h_min:
-                    raise
+            except NumericalError as exc:
+                _abort_at_h_min(h, cfg, "calibration step", f"trial step failed: {exc}")
+                h = next_step_size(h, np.inf, cfg, p)
         h = next_step_size(h, est, cfg, p)
     return h
 

@@ -271,7 +271,7 @@ def convergence_study(
                 local_floor[s] = max(local_floor[s], deltas[s])
                 rep.local[s][i] = _err(u1, ref1, s)
             if res is not None:
-                true_l2 = _err(u1, ref1, 0.0)
+                true_l2 = rep.local[0.0][i] if 0.0 in norms else _err(u1, ref1, 0.0)
                 rep.est[i] = res.est_norm
                 rep.est_true[i] = true_l2
                 rep.est_deviation[i] = abs(res.est_norm - true_l2)

@@ -77,10 +77,9 @@ def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
             f"pair {pair.name} has arity {pair.integrator.arity}, problem "
             f"{prob.name} has arity {prob.arity}"
         )
-    L = pair.shared_prefix_len
-    u_pref, n_pref = apply_word(pair.integrator.word(0, L), prob, h, f)
-    u_next, n_int = apply_word(pair.integrator.word(L), prob, h, u_pref)
-    u_second, n_second = apply_word(pair.second.word(L), prob, h, u_pref)
+    u_pref, n_pref = apply_word(pair.prefix_word, prob, h, f) if pair.prefix_word else (f, 0)
+    u_next, n_int = apply_word(pair.integrator_word, prob, h, u_pref)
+    u_second, n_second = apply_word(pair.second_word, prob, h, u_pref)
     g = pair.milne_gamma
     # an embedded controller's value stays in its own space
     control = u_second if g is None else _combine(-g / (1.0 - g), u_next,

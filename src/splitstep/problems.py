@@ -24,16 +24,17 @@ Diffusive flows refuse Re(t) < 0, which would amplify high modes.
 
 Each operator's math is written once.  Pointwise operators are kernels
 over the nodal components, which ``_nodal`` alone converts, stacks,
-checks (overflow is a BlowUpError) and dealiases.  Modal operators read
-their symbol from a read-only cache per (grid, params) (``_kappa_sq``,
-``_gs_symbol``, ``_vdp_symbol``) shared by the flow and the rhs.
+checks (overflow is a BlowUpError) and dealiases.  Modal operators share
+their symbol per (grid, params) between flow and rhs: ``_gs_symbol`` and
+``_vdp_symbol``, over ``spectral._kappa_sq``, are cached read-only through
+``spectral._grid_cache``.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,8 +45,9 @@ from .spectral import (
     NODAL,
     Field,
     TorusGrid,
+    _grid_cache,
     _k_abs1,
-    _k_sq,
+    _kappa_sq,
     dealias_23,
     modal_tail_fraction,
     to_modal,
@@ -137,27 +139,15 @@ def _nodal(f: Field, what: str, kernel, *args, dealias: bool = False) -> Field:
     return dealias_23(res) if dealias else res
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-@lru_cache(maxsize=64)
-def _kappa_sq(grid: TorusGrid) -> np.ndarray:
-    # (pi/a)^2 * sum k_j^2: minus the Laplacian's multiplier
-    return _read_only(_k_sq(grid) * (np.pi / grid.a) ** 2)[0]
-
-
 # ---------------------------------------------------------------------------
 # Gray-Scott
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+@_grid_cache
 def _gs_symbol(grid: TorusGrid, p: GrayScottParams) -> np.ndarray:
     # per-mode rates (lambda_u, lambda_v) of A, stacked like the components
     ksq = _kappa_sq(grid)
-    return _read_only(np.stack([-p.c1 * ksq - p.alpha, -p.c2 * ksq - p.beta]))[0]
+    return np.stack([-p.c1 * ksq - p.alpha, -p.c2 * ksq - p.beta])
 
 
 def gs_linear_flow(t: complex, f: Field, p: GrayScottParams) -> Field:
@@ -308,7 +298,7 @@ def gray_scott_abc_problem(
 # Van der Pol system
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+@_grid_cache
 def _vdp_symbol(grid: TorusGrid, p: VdpParams) -> tuple:
     # (m11, lap_v, m22, tau, delta): the diagonal of M_k, the diffusive
     # part lap_v of m22, and the eigenvalues tau +/- delta of M_k
@@ -317,7 +307,7 @@ def _vdp_symbol(grid: TorusGrid, p: VdpParams) -> tuple:
     lap_v = -p.dv * kap2
     m22 = lap_v + 1.0 / p.eps
     disc = np.asarray(0.25 * (m11 - m22) ** 2 - 1.0 / p.eps, dtype=np.complex128)
-    return _read_only(m11, lap_v, m22, 0.5 * (m11 + m22), np.sqrt(disc))
+    return m11, lap_v, m22, 0.5 * (m11 + m22), np.sqrt(disc)
 
 
 def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:

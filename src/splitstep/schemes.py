@@ -220,6 +220,10 @@ class SchemePair:
     shared_prefix_len: int = 0
     second: SplittingScheme = field(init=False, repr=False, compare=False)
     milne_gamma: Optional[complex] = field(init=False, repr=False, compare=False)
+    # the recipe's words: the shared prefix, then each scheme's letters after it
+    prefix_word: tuple = field(init=False, repr=False, compare=False)
+    integrator_word: tuple = field(init=False, repr=False, compare=False)
+    second_word: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _PAIR_KINDS:
@@ -266,6 +270,10 @@ class SchemePair:
             object.__setattr__(self, "shared_prefix_len", 0)
         object.__setattr__(self, "second", second)
         object.__setattr__(self, "milne_gamma", gamma)
+        L = self.shared_prefix_len
+        object.__setattr__(self, "prefix_word", self.integrator.word(0, L))
+        object.__setattr__(self, "integrator_word", self.integrator.word(L))
+        object.__setattr__(self, "second_word", second.word(L))
         if second.stages == self.integrator.stages:
             warnings.warn(
                 f"{self.name}: {second.name} coincides with the integrator; the error "

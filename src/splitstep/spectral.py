@@ -9,8 +9,10 @@ x_i = -a + 2a*i/n per axis.  Modal coefficients follow
 
 so c_0 is the mean value and u(x) = sum_k c_k exp(i*pi*(k.x)/a).  The
 discrete transform is the FFT with a per-axis phase (-1)^k that accounts
-for the domain starting at -a instead of 0.  Wavenumbers are integers in
-the standard FFT layout, |k_j| <= n/2 with the Nyquist column at -n/2.
+for the domain starting at -a instead of 0; its ``norm="forward"``
+applies the modal scaling n^-d.  Wavenumbers are integers in the standard
+FFT layout, |k_j| <= n/2 with the Nyquist column at -n/2.  One read-only
+cache, ``_grid_cache``, holds the per-grid arrays that callers share.
 
 Derivative multipliers are sigma(k) = (i*pi/a)^|alpha| * k^alpha.  Odd
 derivative orders zero the Nyquist column (the cosine mode has no
@@ -22,7 +24,7 @@ the 1-norm |k| = |k_1| + ... + |k_d|; the two are intentionally distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -100,42 +102,53 @@ class TorusGrid:
         return np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
 
     def wavenumbers(self) -> tuple:
-        """Integer wavenumber meshes in FFT layout, one array per axis."""
+        """Integer wavenumber meshes in FFT layout, one shared read-only array per axis."""
         return _k_meshes(self)
 
 
-@lru_cache(maxsize=64)
+def _grid_cache(fn):
+    """lru_cache per argument tuple; its arrays are shared, so made read-only."""
+
+    @lru_cache(maxsize=64)
+    @wraps(fn)
+    def cached(*args):
+        out = fn(*args)
+        for arr in out if isinstance(out, tuple) else (out,):
+            arr.setflags(write=False)
+        return out
+
+    return cached
+
+
+@_grid_cache
 def _k_meshes(grid: TorusGrid) -> tuple:
     k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)  # integers as float64
     return tuple(np.meshgrid(*([k1] * grid.dim), indexing="ij"))
 
 
-@lru_cache(maxsize=64)
+@_grid_cache
 def _k_abs1(grid: TorusGrid) -> np.ndarray:
     # 1-norm |k| used by the Sobolev weight
     return sum(np.abs(k) for k in _k_meshes(grid))
 
 
-@lru_cache(maxsize=64)
-def _k_sq(grid: TorusGrid) -> np.ndarray:
-    # Euclidean sum k_j^2 used by the Laplacian multiplier
-    return sum(k * k for k in _k_meshes(grid))
+@_grid_cache
+def _kappa_sq(grid: TorusGrid) -> np.ndarray:
+    # (pi/a)^2 * sum k_j^2: minus the Laplacian's multiplier
+    return sum(k * k for k in _k_meshes(grid)) * (np.pi / grid.a) ** 2
 
 
-@lru_cache(maxsize=64)
+@_grid_cache
 def _shift_phase(grid: TorusGrid) -> np.ndarray:
     # (-1)^(k_1+...+k_d): compensates the grid origin at -a
     par = sum(np.asarray(k, dtype=np.int64) for k in _k_meshes(grid)) & 1
     return np.where(par == 0, 1.0, -1.0)
 
 
-@lru_cache(maxsize=64)
-def _nyquist_mask(grid: TorusGrid) -> np.ndarray:
-    # True where any axis sits on the Nyquist column
-    mask = np.zeros(grid.shape, dtype=bool)
-    for k in _k_meshes(grid):
-        mask |= k == -grid.n // 2
-    return mask
+@_grid_cache
+def _dealias_keep(grid: TorusGrid) -> np.ndarray:
+    # True where every |k_j| <= n/3 (2/3 rule)
+    return np.all([np.abs(k) <= grid.n / 3.0 for k in _k_meshes(grid)], axis=0)
 
 
 class Field:
@@ -201,7 +214,7 @@ def to_modal(f: Field) -> Field:
     if f.space == MODAL:
         return f
     axes = tuple(range(1, f.grid.dim + 1))
-    c = np.fft.fftn(f.data, axes=axes) / (f.grid.n**f.grid.dim)
+    c = np.fft.fftn(f.data, axes=axes, norm="forward")
     c *= _shift_phase(f.grid)
     return Field(f.grid, c, MODAL)
 
@@ -211,8 +224,7 @@ def to_nodal(f: Field) -> Field:
     if f.space == NODAL:
         return f
     axes = tuple(range(1, f.grid.dim + 1))
-    c = f.data * _shift_phase(f.grid) * (f.grid.n**f.grid.dim)
-    u = np.fft.ifftn(c, axes=axes)
+    u = np.fft.ifftn(f.data * _shift_phase(f.grid), axes=axes, norm="forward")
     return Field(f.grid, u, NODAL)
 
 
@@ -221,7 +233,7 @@ def apply_symbol(f: Field, sigma) -> Field:
 
     ``sigma`` is called once with the integer wavenumber meshes (one
     argument per axis) and must return a broadcastable multiplier array.
-    The input must be modal.
+    The meshes are shared and read-only.  The input must be modal.
     """
     if f.space != MODAL:
         raise RepresentationError("apply_symbol requires a modal field")
@@ -238,22 +250,18 @@ def derivative_symbol(grid: TorusGrid, alpha: tuple):
     """
     if len(alpha) != grid.dim:
         raise RepresentationError(f"alpha must have {grid.dim} entries")
-    ks = _k_meshes(grid)
-    total = sum(alpha)
-    sym = np.ones(grid.shape, dtype=np.complex128) * (1j * np.pi / grid.a) ** total
-    for k, a_j in zip(ks, alpha):
-        if a_j == 0:
-            continue
-        kk = k.copy()
+    sym = np.ones(grid.shape, dtype=np.complex128) * (1j * np.pi / grid.a) ** sum(alpha)
+    for k, a_j in zip(_k_meshes(grid), alpha):
         if a_j % 2 == 1:
-            kk[k == -grid.n // 2] = 0.0
-        sym = sym * kk**a_j
+            k = np.where(k == -grid.n // 2, 0.0, k)
+        if a_j:
+            sym = sym * k**a_j
     return sym
 
 
 def laplacian_symbol(grid: TorusGrid) -> np.ndarray:
     """Multiplier of the Laplacian: -(pi/a)^2 * sum_j k_j^2."""
-    return -((np.pi / grid.a) ** 2) * _k_sq(grid)
+    return -_kappa_sq(grid)
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -284,13 +292,7 @@ def quadrature_l2(f: Field) -> float:
 
 def dealias_23(f: Field) -> Field:
     """Zero all modes with any |k_j| > n/3 (2/3 rule)."""
-    c = to_modal(f)
-    keep = np.ones(f.grid.shape, dtype=bool)
-    cut = f.grid.n / 3.0
-    for k in _k_meshes(f.grid):
-        keep &= np.abs(k) <= cut
-    out = c.data * keep
-    res = Field(f.grid, out, MODAL)
+    res = Field(f.grid, to_modal(f).data * _dealias_keep(f.grid), MODAL)
     return res if f.space == MODAL else to_nodal(res)
 
 
@@ -298,9 +300,7 @@ def modal_tail_fraction(f: Field) -> float:
     """Fraction of modal energy carried by modes with max_j |k_j| >= n/4."""
     c = to_modal(f)
     e = c.data.real**2 + c.data.imag**2
-    tail = np.zeros(f.grid.shape, dtype=bool)
-    for k in _k_meshes(f.grid):
-        tail |= np.abs(k) >= f.grid.n / 4.0
+    tail = np.any([np.abs(k) >= f.grid.n / 4.0 for k in _k_meshes(f.grid)], axis=0)
     total = float(np.sum(e))
     if total == 0.0:
         return 0.0

@@ -432,6 +432,31 @@ def test_compare_writes_efficiency_table(tmp_path, capsys):
     assert len(csv.splitlines()) >= 3
 
 
+def test_compare_calibration_that_cannot_succeed_exits_3(tmp_path, capsys):
+    # a negative A-coefficient: every trial step refuses backward diffusion
+    extra = tmp_path / "neg.json"
+    extra.write_text(json.dumps({
+        "schemes": [{"name": "neg1", "order": 1, "stages": [[-0.5, 0.5], [1.5, 0.5]]}],
+        "pairs": [{"name": "neg1-avg", "kind": "adjoint_average", "integrator": "neg1"}],
+    }))
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "problem": {"name": "gray_scott", "dim": 1, "a": math.pi, "n": 32},
+            "compare": {
+                "pair": "neg1-avg",
+                "t_end": 0.1,
+                "tols": [1e-4],
+                "control": {"tol": 1e-4, "h_min": 1e-30},
+            },
+        },
+    )
+    code = main(["compare", "--config", str(cfg), "--schemes", str(extra),
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
 # --------------------------------------------------- console entry
 
 

@@ -306,6 +306,32 @@ def test_calibrate_initial_step_settles_on_plateau():
     assert h_far == pytest.approx(4e-5)
 
 
+def test_calibration_retries_a_failed_trial_with_alpha_min():
+    base = fragile_problem(0.03)
+    tried = []
+
+    def flow_b(t, f):
+        tried.append(abs(t))
+        return base.flows[1](t, f)
+
+    prob = SplitProblem("fragile", (base.flows[0], flow_b), base.rhs, base.m)
+    cfg = StepControlConfig(tol=1e-6)
+    h = calibrate_initial_step(prob, REG.pair("lie-avg"), lin_state(), cfg, h0=0.2)
+    assert h > 0
+    assert tried[:3] == pytest.approx([0.2, 0.05, 0.0125])
+    for failed, retry in zip(tried, tried[1:]):
+        if failed > 0.03:
+            assert retry == pytest.approx(failed * cfg.alpha_min)
+
+
+def test_calibration_of_always_failing_flows_aborts_at_h_min():
+    # far more shrinks than any fixed retry budget before h reaches h_min
+    prob, f = fragile_problem(0.0), lin_state()
+    cfg = StepControlConfig(tol=1e-6, h_min=1e-300)
+    with pytest.raises(ToleranceAbortError, match="calibration step.*trial step failed"):
+        calibrate_initial_step(prob, REG.pair("lie-avg"), f, cfg, h0=0.2)
+
+
 # ---------------------------------------------------------------------------
 # trajectory CSV
 

@@ -294,3 +294,69 @@ def test_snapshot_rejects_garbage(tmp_path):
     p.write_text("splitstep-field 1 1 1.0 8 1\n0.0 0.0\n")  # truncated
     with pytest.raises(RepresentationError):
         read_field(p)
+
+
+# ---------------------------------------------------------------------------
+# shared grid caches and the transform scaling
+
+
+GRIDS = [TorusGrid(1, 1.0, 16), TorusGrid(2, 2.5, 8), TorusGrid(3, 1.0, 4)]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
+def test_grid_cache_arrays_refuse_writes(grid):
+    from splitstep.spectral import (
+        _dealias_keep,
+        _k_abs1,
+        _k_meshes,
+        _kappa_sq,
+        _shift_phase,
+    )
+
+    arrays = [*_k_meshes(grid), _k_abs1(grid), _kappa_sq(grid), _shift_phase(grid),
+              _dealias_keep(grid), *grid.wavenumbers()]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+def test_in_place_sigma_cannot_corrupt_later_symbols_or_norms():
+    grid = TorusGrid(1, 1.0, 16)
+    f = random_field(grid, m=2, seed=5)
+    d_before = derivative_symbol(grid, (1,))
+    h1_before = sobolev_norm(f, 1)
+    with pytest.raises(ValueError):
+        apply_symbol(to_modal(f), lambda k: k.__imul__(2.0))
+    assert np.array_equal(derivative_symbol(grid, (1,)), d_before)
+    assert sobolev_norm(f, 1) == h1_before
+
+
+def _phase(grid):
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(np.int64)
+    par = sum(np.meshgrid(*([k] * grid.dim), indexing="ij")) & 1
+    return np.where(par == 0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 4), (1, 64), (1, 256), (2, 8), (2, 32), (3, 4), (3, 16)])
+def test_transforms_equal_the_explicitly_scaled_fft_bitwise(dim, n):
+    grid = TorusGrid(dim, 1.7, n)
+    f = random_field(grid, m=2, seed=n + dim)
+    axes = tuple(range(1, dim + 1))
+    phase = _phase(grid)
+    want_modal = np.fft.fftn(f.data, axes=axes) / (n**dim) * phase
+    assert np.array_equal(to_modal(f).data, want_modal)
+    c = Field(grid, f.data, "modal")
+    want_nodal = np.fft.ifftn(c.data * phase * (n**dim), axes=axes)
+    assert np.array_equal(to_nodal(c).data, want_nodal)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
+def test_laplacian_symbol_is_fresh_and_bitwise_the_formula(grid):
+    k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    ks = np.meshgrid(*([k1] * grid.dim), indexing="ij")
+    lap = laplacian_symbol(grid)
+    assert np.array_equal(lap, -((np.pi / grid.a) ** 2) * sum(k * k for k in ks))
+    assert lap.flags.writeable
+    lap[...] = 0.0
+    assert laplacian_symbol(grid).any()
