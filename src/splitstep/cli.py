@@ -55,11 +55,14 @@ __all__ = ["main"]
 def _load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: top level must be an object")
+    return cfg
 
 
 def _registry_from(args):
@@ -78,53 +81,79 @@ def _provenance(args, cfg) -> dict:
     return meta
 
 
+# Every command reads its values through _block and _value before any
+# solve starts, so a malformed value exits 2 and names its block and key;
+# errors raised later, inside the numerical run, are not translated.
+_REQUIRED = object()
+
+
+def _block(cfg: dict, name: str) -> dict:
+    try:
+        block = cfg[name]
+    except KeyError:
+        raise ConfigError(f"config: missing {name!r} block") from None
+    if not isinstance(block, dict):
+        raise ConfigError(f"config: {name!r} block must be an object, got {block!r}")
+    return block
+
+
+def _value(block: dict, where: str, key: str, convert=float, default=_REQUIRED):
+    """block[key] passed through ``convert``, or ``default`` when absent."""
+    if key not in block:
+        if default is _REQUIRED:
+            raise ConfigError(f"config: {where!r} block needs {key!r}")
+        return default
+    try:
+        return convert(block[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: {where}.{key}: {exc}") from None
+
+
+def _floats(v) -> list:
+    if not isinstance(v, list):
+        raise TypeError(f"expected a list of numbers, got {v!r}")
+    return [float(x) for x in v]
+
+
+def _count(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f"expected a positive integer, got {v!r}")
+    return v
+
+
 def _build_problem(cfg: dict, seed=None):
+    pcfg = _block(cfg, "problem")
+    name = _value(pcfg, "problem", "name", str)
     try:
-        pcfg = cfg["problem"]
-        name = pcfg["name"]
-    except KeyError as exc:
-        raise ConfigError(f"config: missing key {exc}") from exc
-    try:
-        return _build_problem_inner(pcfg, name, seed)
-    except RepresentationError as exc:
-        # bad grid dims, unknown preset names: user input, not a library bug
-        raise ConfigError(f"problem block: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"problem block: {exc}") from exc
-
-
-def _build_problem_inner(pcfg: dict, name: str, seed):
-    grid = TorusGrid(
-        dim=int(pcfg.get("dim", 1)),
-        a=float(pcfg.get("a", np.pi)),
-        n=int(pcfg.get("n", 64)),
-    )
-    params = pcfg.get("params", {})
-    if name == "gray_scott":
-        prob = gray_scott_problem(
-            grid,
-            GrayScottParams(**params),
-            rk4_substep=float(pcfg.get("rk4_substep", 0.1)),
-            dealias=bool(pcfg.get("dealias", False)),
+        grid = TorusGrid(
+            dim=_value(pcfg, "problem", "dim", int, 1),
+            a=_value(pcfg, "problem", "a", float, np.pi),
+            n=_value(pcfg, "problem", "n", int, 64),
         )
-    elif name == "gray_scott_abc":
-        prob = gray_scott_abc_problem(
-            grid, GrayScottParams(**params), dealias=bool(pcfg.get("dealias", False))
-        )
-    elif name == "van_der_pol":
-        prob = van_der_pol_problem(grid, VdpParams(**params))
-    elif name == "linear":
-        prob = linear_problem(grid, diffusion=float(pcfg.get("diffusion", 0.5)))
-    else:
-        raise ConfigError(f"unknown problem {name!r}")
-    ic_args = dict(pcfg.get("initial_args", {}))
-    if seed is not None:
-        ic_args["seed"] = seed
-    f0 = initial_condition(pcfg.get("initial", "gs_bump"), grid, **ic_args)
+        params = pcfg.get("params", {})
+        dealias = bool(pcfg.get("dealias", False))
+        if name == "gray_scott":
+            rk4_substep = _value(pcfg, "problem", "rk4_substep", float, 0.1)
+            prob = gray_scott_problem(
+                grid, GrayScottParams(**params), rk4_substep=rk4_substep, dealias=dealias
+            )
+        elif name == "gray_scott_abc":
+            prob = gray_scott_abc_problem(grid, GrayScottParams(**params), dealias=dealias)
+        elif name == "van_der_pol":
+            prob = van_der_pol_problem(grid, VdpParams(**params))
+        elif name == "linear":
+            prob = linear_problem(grid, diffusion=_value(pcfg, "problem", "diffusion", float, 0.5))
+        else:
+            raise ConfigError(f"unknown problem {name!r}")
+        ic_args = dict(pcfg.get("initial_args", {}))
+        if seed is not None:
+            ic_args["seed"] = seed
+        f0 = initial_condition(pcfg.get("initial", "gs_bump"), grid, **ic_args)
+    except (RepresentationError, TypeError) as exc:
+        # bad grid dims, unknown preset or parameter names: user input
+        raise ConfigError(f"problem block: {exc}") from exc
     if f0.m != prob.m:
-        raise ConfigError(
-            f"initial condition has {f0.m} components, problem needs {prob.m}"
-        )
+        raise ConfigError(f"initial condition has {f0.m} components, problem needs {prob.m}")
     return prob, f0
 
 
@@ -135,24 +164,14 @@ def _control_config(block: dict) -> StepControlConfig:
         raise ConfigError(f"control block: {exc}") from exc
 
 
-def _require(block: dict, key: str, where: str):
-    try:
-        return block[key]
-    except KeyError:
-        raise ConfigError(f"config: {where!r} block needs {key!r}") from None
-
-
 def _setup(args, command: str):
     """Config, registry, problem, initial state, the command's block and its span."""
     cfg = _load_config(args.config)
     reg = _registry_from(args)
     prob, f0 = _build_problem(cfg, seed=args.seed)
-    try:
-        block = cfg[command]
-    except KeyError:
-        raise ConfigError(f"config: missing {command!r} block") from None
-    t0 = float(block.get("t0", 0.0))
-    return cfg, reg, prob, f0, block, t0, float(_require(block, "t_end", command))
+    block = _block(cfg, command)
+    t0 = _value(block, command, "t0", float, 0.0)
+    return cfg, reg, prob, f0, block, t0, _value(block, command, "t_end")
 
 
 def _out_dir(args) -> Path:
@@ -165,26 +184,26 @@ def _out_dir(args) -> Path:
 def _cmd_run(args) -> int:
     cfg, reg, prob, f0, rcfg, t0, t_end = _setup(args, "run")
     out = _out_dir(args)
-    outputs = rcfg.get("outputs", {})
+    outputs = _value(rcfg, "run", "outputs", dict, {})
+    traj_file = _value(outputs, "run.outputs", "trajectory", os.fspath, "trajectory.csv")
+    final_file = _value(outputs, "run.outputs", "final_state", os.fspath, "final.field")
     mode = rcfg.get("mode", "adaptive")
     if mode == "adaptive":
-        pair = reg.pair(_require(rcfg, "pair", "run"))
+        pair = reg.pair(_value(rcfg, "run", "pair", str))
         ctrl = _control_config(rcfg.get("control", {}))
         state, traj = integrate_adaptive(
             prob, pair, f0, t0, t_end, ctrl,
-            snapshot_every=rcfg.get("snapshot_every"),
-            snapshot_times=rcfg.get("snapshot_times"),
+            snapshot_every=_value(rcfg, "run", "snapshot_every", _count, None),
+            snapshot_times=_value(rcfg, "run", "snapshot_times", _floats, None),
         )
     elif mode == "fixed":
-        scheme = reg.scheme(_require(rcfg, "scheme", "run"))
-        state, traj = integrate_fixed(
-            prob, scheme, f0, t0, t_end, float(_require(rcfg, "h", "run"))
-        )
+        scheme = reg.scheme(_value(rcfg, "run", "scheme", str))
+        state, traj = integrate_fixed(prob, scheme, f0, t0, t_end, _value(rcfg, "run", "h"))
     else:
         raise ConfigError(f"run.mode must be 'adaptive' or 'fixed', got {mode!r}")
 
-    write_trajectory_csv(traj, out / outputs.get("trajectory", "trajectory.csv"))
-    write_field(state, out / outputs.get("final_state", "final.field"))
+    write_trajectory_csv(traj, out / traj_file)
+    write_field(state, out / final_file)
     if traj.snapshots:
         index = ["index,t,file"]
         for i, (t, snap) in enumerate(traj.snapshots):
@@ -201,49 +220,44 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "converge")
-    subjects = ccfg.get("subjects") or [_require(ccfg, "subject", "converge")]
-    hs = [float(h) for h in _require(ccfg, "hs", "converge")]
-    norms = tuple(float(s) for s in ccfg.get("norms", [0.0]))
+    names = ccfg.get("subjects") or [_value(ccfg, "converge", "subject", str)]
+    subjects = [(name, reg.pairs.get(name) or reg.scheme(name)) for name in names]
+    hs = _value(ccfg, "converge", "hs", _floats)
+    norms = tuple(_value(ccfg, "converge", "norms", _floats, [0.0]))
     what = tuple(ccfg.get("what", ("local", "global")))
     out = _out_dir(args)
     meta = _provenance(args, cfg)
     # the subjects share every fixed-step solve from f0 (reference ladders
     # above all); a memo hit returns the very state a fresh solve would
     solves = FixedSolves(prob, f0)
-    for name in subjects:
-        subject = reg.pairs.get(name) or reg.scheme(name)
+    for name, subject in subjects:
         rep = convergence_study(
             prob, subject, f0, t0, t_end, hs, norms=norms, registry=reg, what=what,
             solves=solves,
         )
         write_convergence_csv(rep, out / f"convergence_{name.replace('*', 'adj')}.csv", meta)
         for s in rep.norms:
-            print(
-                f"converge {rep.name}: s={s:g} "
-                f"local slope={rep.local_slopes.get(s, float('nan')):.3f} "
-                f"global slope={rep.global_slopes.get(s, float('nan')):.3f}"
-                + (" [exact]" if rep.exact else "")
-            )
+            print(f"converge {rep.name}: s={s:g} local slope={rep.slope('local', s):.3f} "
+                  f"global slope={rep.slope('global', s):.3f}" + (" [exact]" if rep.exact else ""))
         if rep.est is not None:
-            print(
-                f"converge {rep.name}: est deviation slope="
-                f"{rep.est_deviation_slope:.3f} controller local slope="
-                f"{rep.ctrl_local_slope:.3f}"
-            )
+            print(f"converge {rep.name}: est deviation slope={rep.est_deviation_slope:.3f} "
+                  f"controller local slope={rep.ctrl_local_slope:.3f}")
     return 0
 
 
 def _cmd_compare(args) -> int:
     cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "compare")
-    pair = reg.pair(_require(ccfg, "pair", "compare"))
-    base = dict(ccfg.get("control", {}))
+    pair = reg.pair(_value(ccfg, "compare", "pair", str))
+    base = _value(ccfg, "compare", "control", dict, {})
+    tols = _value(ccfg, "compare", "tols", _floats, None)
+    if tols is None:
+        tols = [_value(base, "compare.control", "tol", float, 1e-4)]
+    ctrls = [_control_config({**base, "tol": tol}) for tol in tols]
+    out_file = _value(ccfg, "compare", "out", os.fspath, "efficiency.csv")
     rows = []
-    for tol in ccfg.get("tols", [base.get("tol", 1e-4)]):
-        block = dict(base)
-        block["tol"] = float(tol)
+    for ctrl in ctrls:
         row = efficiency_compare(
-            prob, pair, f0, t0, t_end, _control_config(block),
-            calibrate=bool(ccfg.get("calibrate", True)),
+            prob, pair, f0, t0, t_end, ctrl, calibrate=bool(ccfg.get("calibrate", True))
         )
         rows.append(row)
         print(
@@ -252,7 +266,7 @@ def _cmd_compare(args) -> int:
             f"(ratio {row.step_ratio:.3f}, {row.n_rejected} rejected)"
         )
     out = _out_dir(args)
-    write_efficiency_csv(rows, out / ccfg.get("out", "efficiency.csv"), _provenance(args, cfg))
+    write_efficiency_csv(rows, out / out_file, _provenance(args, cfg))
     return 0
 
 
@@ -261,13 +275,9 @@ def _cmd_schemes(args) -> int:
     print("schemes:")
     for name in sorted(reg.schemes):
         s = reg.schemes[name]
-        flags = []
-        if s.parabolic_safe:
-            flags.append("parabolic-safe")
-        if s.palindromic:
-            flags.append("palindromic")
-        if s.is_complex:
-            flags.append("complex")
+        flags = [flag for flag, on in (("parabolic-safe", s.parabolic_safe),
+                                       ("palindromic", s.palindromic),
+                                       ("complex", s.is_complex)) if on]
         tag = f" [{', '.join(flags)}]" if flags else ""
         print(f"  {name}: order {s.order}, arity {s.arity}, {s.s} stages, "
               f"{s.flow_evals} flows{tag}")

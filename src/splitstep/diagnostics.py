@@ -16,6 +16,8 @@ Error measurement conventions:
   shrinking.  The latter means roundoff: finer rungs only gather
   rounding error, so the rung before is the reference.  The deltas of
   the rung used are reported as the local floor.
+* Both ladders draw their rungs from one generator, :func:`_halvings`,
+  and differ only in their stop rules.
 * Fixed-step solves from the initial state go through a
   :class:`FixedSolves` memo, so studies of several subjects on one
   problem run each reference rung once.
@@ -123,28 +125,35 @@ def reference_solution(
     if span <= 0:
         return f0, {"scheme": scheme.name, "h": 0.0, "floor": {s: 0.0 for s in norms}}
     solves = _solves_for(prob, f0, solves)
-    h = h0 if h0 is not None else span / 64.0
-    prev = solves.run(scheme, t0, t_end, h)
     floor = {}
-    for _ in range(max_halvings):
-        h *= 0.5
-        cur = solves.run(scheme, t0, t_end, h)
-        floor = {s: _err(cur, prev, s) for s in norms}
-        ok = True
-        for s in norms:
-            goal = (
-                target[s]
-                if target is not None and s in target
-                else 1e-10 * max(sobolev_norm(cur, s), 1e-30)
-            )
-            ok = ok and floor[s] <= goal
-        if ok:
+    rungs = _halvings(solves, scheme, t0, t_end, h0 if h0 is not None else span / 64.0,
+                      norms, max_halvings)
+    for h, cur, floor in rungs:
+        goals = [
+            target[s] if target is not None and s in target
+            else 1e-10 * max(sobolev_norm(cur, s), 1e-30)
+            for s in norms
+        ]
+        if all(floor[s] <= goal for s, goal in zip(norms, goals)):
             return cur, {"scheme": scheme.name, "h": h, "floor": floor}
-        prev = cur
     raise ReferenceAccuracyError(
         f"reference with {scheme.name} did not reach the floor after "
         f"{max_halvings} halvings (last delta {floor})"
     )
+
+
+def _halvings(solves, scheme, t0, t_end, h, norms, n):
+    """Run the fixed-step solve at h, then yield (step, state, deltas) for
+    h/2, h/4, ... (n rungs) through ``solves``; deltas[s] is the rung's
+    distance from the rung before in norm s.  Halving is exact, so the
+    steps are bitwise h/2^k and share memo keys with any other caller.
+    """
+    prev = solves.run(scheme, t0, t_end, h)
+    for _ in range(n):
+        h *= 0.5
+        cur = solves.run(scheme, t0, t_end, h)
+        yield h, cur, {s: _err(cur, prev, s) for s in norms}
+        prev = cur
 
 
 def fit_loglog(hs, errs):
@@ -159,11 +168,9 @@ def fit_loglog(hs, errs):
 
 
 def _fit_above_floor(hs, errs, floor):
+    """:func:`fit_loglog` over the errors more than 10x above ``floor``."""
     errs = np.asarray(errs, dtype=float)
-    keep = errs > 10.0 * floor
-    if np.count_nonzero(keep) < 2:
-        return float("nan"), int(np.count_nonzero(keep))
-    return fit_loglog(np.asarray(hs)[keep], errs[keep])
+    return fit_loglog(hs, np.where(errs > 10.0 * floor, errs, 0.0))
 
 
 @dataclass
@@ -202,7 +209,6 @@ def convergence_study(
     hs,
     norms=(0.0,),
     registry: Optional[SchemeRegistry] = None,
-    reference=None,
     what=("local", "global"),
     solves: Optional[FixedSolves] = None,
 ) -> ConvergenceReport:
@@ -210,11 +216,10 @@ def convergence_study(
 
     ``subject`` is a SplittingScheme or a SchemePair; pairs additionally
     record the estimator value, its deviation from the true local error
-    and the controller's own local error.  ``reference`` may carry a
-    precomputed (state, info) pair from :func:`reference_solution`.
-    ``solves`` is a :class:`FixedSolves` memo for (prob, f0) shared by
-    the studies of several subjects; their fixed-step solves (global
-    errors, references, one-step ladders) then run once.
+    and the controller's own local error.  ``solves`` is a
+    :class:`FixedSolves` memo for (prob, f0) shared by the studies of
+    several subjects; their fixed-step solves (global errors, references,
+    one-step ladders) then run once.
     """
     solves = _solves_for(prob, f0, solves)
     pair = subject if isinstance(subject, SchemePair) else None
@@ -226,49 +231,35 @@ def convergence_study(
     rep = ConvergenceReport(name=pair.name if pair else scheme.name, hs=hs, norms=norms)
 
     if "global" in what:
-        if reference is None:
-            # bootstrap the accuracy target from a provisional reference;
-            # the relative floor keeps exact splittings (error = roundoff)
-            # from demanding an unreachable reference
-            prov = solves.run(ref_scheme, t0, t_end, min(hs) / 8.0)
-            fmin = solves.run(scheme, t0, t_end, min(hs))
-            target = {
-                s: max(1e-2 * _err(fmin, prov, s), 1e-12 * sobolev_norm(prov, s), 1e-14)
-                for s in norms
-            }
-            reference = reference_solution(
-                prob, f0, t0, t_end, scheme=ref_scheme, h0=min(hs) / 8.0,
-                target=target, norms=norms, solves=solves,
-            )
-        ref_state, ref_info = reference
+        # bootstrap the accuracy target from a provisional reference;
+        # the relative floor keeps exact splittings (error = roundoff)
+        # from demanding an unreachable reference
+        prov = solves.run(ref_scheme, t0, t_end, min(hs) / 8.0)
+        fmin = solves.run(scheme, t0, t_end, min(hs))
+        target = {
+            s: max(1e-2 * _err(fmin, prov, s), 1e-12 * sobolev_norm(prov, s), 1e-14)
+            for s in norms
+        }
+        ref_state, ref_info = reference_solution(
+            prob, f0, t0, t_end, scheme=ref_scheme, h0=min(hs) / 8.0,
+            target=target, norms=norms, solves=solves,
+        )
         rep.ref_floor = dict(ref_info["floor"])
-        for s in norms:
-            rep.global_[s] = np.empty(len(hs))
-        for i, h in enumerate(hs):
-            fh = solves.run(scheme, t0, t_end, h)
-            for s in norms:
-                rep.global_[s][i] = _err(fh, ref_state, s)
-        for s in norms:
-            slope, used = _fit_above_floor(hs, rep.global_[s], rep.ref_floor.get(s, 0.0))
-            rep.global_slopes[s] = slope
-            rep.points_used[("global", s)] = used
+        finals = [solves.run(scheme, t0, t_end, h) for h in hs]
+        rep.global_ = {s: np.array([_err(fh, ref_state, s) for fh in finals]) for s in norms}
 
     if "local" in what:
-        for s in norms:
-            rep.local[s] = np.empty(len(hs))
+        rep.local = {s: np.empty(len(hs)) for s in norms}
         if pair is not None:
-            rep.est = np.empty(len(hs))
-            rep.est_true = np.empty(len(hs))
-            rep.est_deviation = np.empty(len(hs))
-            rep.ctrl_local = np.empty(len(hs))
-        local_floor = {s: 0.0 for s in norms}
+            rep.est, rep.est_true, rep.est_deviation, rep.ctrl_local = np.empty((4, len(hs)))
+        rep.local_floor = {s: 0.0 for s in norms}
         for i, h in enumerate(hs):
             # a pair's integrator value is the plain step S(h, f0), bitwise
             res = estimate_step(pair, prob, h, f0) if pair is not None else None
             u1 = res.u_next if res is not None else compose_step(scheme, prob, h, f0)
             ref1, deltas = _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res)
             for s in norms:
-                local_floor[s] = max(local_floor[s], deltas[s])
+                rep.local_floor[s] = max(rep.local_floor[s], deltas[s])
                 rep.local[s][i] = _err(u1, ref1, s)
             if res is not None:
                 true_l2 = rep.local[0.0][i] if 0.0 in norms else _err(u1, ref1, 0.0)
@@ -276,18 +267,17 @@ def convergence_study(
                 rep.est_true[i] = true_l2
                 rep.est_deviation[i] = abs(res.est_norm - true_l2)
                 rep.ctrl_local[i] = _err(res.u_control, ref1, 0.0)
-        rep.local_floor = local_floor
-        for s in norms:
-            slope, used = _fit_above_floor(hs, rep.local[s], local_floor[s])
-            rep.local_slopes[s] = slope
-            rep.points_used[("local", s)] = used
         if pair is not None:
-            rep.est_deviation_slope, _ = _fit_above_floor(
-                hs, rep.est_deviation, local_floor.get(0.0, 0.0)
-            )
-            rep.ctrl_local_slope, _ = _fit_above_floor(
-                hs, rep.ctrl_local, local_floor.get(0.0, 0.0)
-            )
+            floor0 = rep.local_floor.get(0.0, 0.0)
+            rep.est_deviation_slope = _fit_above_floor(hs, rep.est_deviation, floor0)[0]
+            rep.ctrl_local_slope = _fit_above_floor(hs, rep.ctrl_local, floor0)[0]
+
+    for kind, errors, slopes, floor in (
+        ("local", rep.local, rep.local_slopes, rep.local_floor),
+        ("global", rep.global_, rep.global_slopes, rep.ref_floor),
+    ):
+        for s, errs in errors.items():
+            slopes[s], rep.points_used[(kind, s)] = _fit_above_floor(hs, errs, floor.get(s, 0.0))
 
     # exact-flow detection: every measured error at the floor
     all_series = list(rep.local.values()) + list(rep.global_.values())
@@ -312,14 +302,9 @@ def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=
     Returns (state, deltas): the deltas of the returned rung are the
     floor the caller reports.
     """
-    substeps = 8
-    prev = solves.run(ref_scheme, t0, t0 + h, h / substeps)
-    prev_deltas = {s: np.inf for s in norms}
-    for _ in range(max_halvings):
-        substeps *= 2
-        cur = solves.run(ref_scheme, t0, t0 + h, h / substeps)
-        deltas = {s: _err(cur, prev, s) for s in norms}
-        if max(deltas.values()) >= max(prev_deltas.values()):
+    prev = prev_deltas = None
+    for _, cur, deltas in _halvings(solves, ref_scheme, t0, t0 + h, h / 8, norms, max_halvings):
+        if prev is not None and max(deltas.values()) >= max(prev_deltas.values()):
             return prev, prev_deltas
         needs = [_err(u1, cur, s) for s in norms]
         if res is not None:

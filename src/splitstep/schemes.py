@@ -416,26 +416,51 @@ def builtin_registry() -> SchemeRegistry:
 #   {"name": str, "kind": "adjoint_average" | "palindromic", "integrator": str}
 # ---------------------------------------------------------------------------
 
-def _parse_complex(x, where: str):
+def _parse_complex(x):
     # real values stay float so loaded schemes print like builtins
-    if isinstance(x, bool):
-        raise SchemeFileError(f"{where}: expected number or [re, im], got {x!r}")
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, list) and len(x) == 2 and all(isinstance(v, (int, float)) for v in x):
-        return float(x[0]) if x[1] == 0 else complex(x[0], x[1])
-    raise SchemeFileError(f"{where}: expected number or [re, im], got {x!r}")
+    parts = x if isinstance(x, list) and len(x) == 2 else [x, 0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ValueError(f"expected number or [re, im], got {x!r}")
+    return float(parts[0]) if parts[1] == 0 else complex(*parts)
 
 
 def _dump_complex(z: complex):
     z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
+    return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
 _SCHEME_KEYS = {"name", "order", "stages", "parabolic_safe", "palindromic"}
 _PAIR_KEYS = {"name", "kind", "integrator", "controller", "partner", "gamma", "shared_prefix_len"}
+_JSON_TYPES = {int: "an integer", str: "a string"}
+
+
+def _typed(entry: dict, key: str, kind: type, *default):
+    """entry[key] (or the default), refused unless it is a JSON value of ``kind``."""
+    x = entry.get(key, *default) if default else entry[key]
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise TypeError(f"{key!r} must be {_JSON_TYPES[kind]}, got {x!r}")
+    return x
+
+
+def _scheme_from(entry: dict, registry: SchemeRegistry) -> SplittingScheme:
+    stages = tuple(tuple(_parse_complex(c) for c in st) for st in entry["stages"])
+    scheme = SplittingScheme(_typed(entry, "name", str), _typed(entry, "order", int), stages)
+    for flag in ("parabolic_safe", "palindromic"):
+        if flag in entry and bool(entry[flag]) != getattr(scheme, flag):
+            raise ValueError(f"declared {flag}={entry[flag]} but computed {getattr(scheme, flag)}")
+    return scheme
+
+
+def _pair_from(entry: dict, registry: SchemeRegistry) -> SchemePair:
+    seconds = {k: registry.scheme(entry[k]) for k in ("controller", "partner") if k in entry}
+    return SchemePair(
+        name=_typed(entry, "name", str),
+        kind=entry["kind"],
+        integrator=registry.scheme(entry["integrator"]),
+        gamma=_parse_complex(entry["gamma"]) if "gamma" in entry else None,
+        shared_prefix_len=_typed(entry, "shared_prefix_len", int, 0),
+        **seconds,
+    )
 
 
 def load_scheme_file(registry: SchemeRegistry, path) -> None:
@@ -456,53 +481,27 @@ def load_scheme_file(registry: SchemeRegistry, path) -> None:
     unknown = set(doc) - {"schemes", "pairs"}
     if unknown:
         raise SchemeFileError(f"{path}: unknown top-level keys {sorted(unknown)}")
-
-    for entry in doc.get("schemes", []):
-        where = f"{path}: scheme {entry.get('name', '?')!r}"
-        bad = set(entry) - _SCHEME_KEYS
-        if bad:
-            raise SchemeFileError(f"{where}: unknown keys {sorted(bad)}")
-        try:
-            stages = tuple(
-                tuple(_parse_complex(c, where) for c in st) for st in entry["stages"]
-            )
-            scheme = SplittingScheme(entry["name"], int(entry["order"]), stages)
-        except (KeyError, TypeError) as exc:
-            raise SchemeFileError(f"{where}: {exc}") from exc
-        except ConfigError as exc:
-            raise SchemeFileError(f"{where}: {exc}") from exc
-        for flag in ("parabolic_safe", "palindromic"):
-            if flag in entry and bool(entry[flag]) != getattr(scheme, flag):
-                raise SchemeFileError(
-                    f"{where}: declared {flag}={entry[flag]} but computed {getattr(scheme, flag)}"
-                )
-        registry.add(scheme)
-
-    for entry in doc.get("pairs", []):
-        where = f"{path}: pair {entry.get('name', '?')!r}"
-        bad = set(entry) - _PAIR_KEYS
-        if bad:
-            raise SchemeFileError(f"{where}: unknown keys {sorted(bad)}")
-        try:
-            kind = entry["kind"]
-            integrator = registry.scheme(entry["integrator"])
-            controller = registry.scheme(entry["controller"]) if "controller" in entry else None
-            partner = registry.scheme(entry["partner"]) if "partner" in entry else None
-            gamma = _parse_complex(entry["gamma"], where) if "gamma" in entry else None
-            pair = SchemePair(
-                name=entry["name"],
-                kind=kind,
-                integrator=integrator,
-                controller=controller,
-                partner=partner,
-                gamma=gamma,
-                shared_prefix_len=int(entry.get("shared_prefix_len", 0)),
-            )
-        except KeyError as exc:
-            raise SchemeFileError(f"{where}: missing key {exc}") from exc
-        except ConfigError as exc:
-            raise SchemeFileError(f"{where}: {exc}") from exc
-        registry.add_pair(pair)
+    # schemes first: the file's pairs may name its schemes
+    for key, label, keys, build, add in (
+        ("schemes", "scheme", _SCHEME_KEYS, _scheme_from, registry.add),
+        ("pairs", "pair", _PAIR_KEYS, _pair_from, registry.add_pair),
+    ):
+        entries = doc.get(key, [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise SchemeFileError(f"{path}: {key!r} must be a list of objects")
+        for entry in entries:
+            where = f"{path}: {label} {entry.get('name', '?')!r}"
+            bad = set(entry) - keys
+            if bad:
+                raise SchemeFileError(f"{where}: unknown keys {sorted(bad)}")
+            # malformed values are wrapped here, once, with the file and entry
+            try:
+                item = build(entry, registry)
+            except KeyError as exc:
+                raise SchemeFileError(f"{where}: missing key {exc}") from exc
+            except (TypeError, ValueError, ConfigError) as exc:
+                raise SchemeFileError(f"{where}: {exc}") from exc
+            add(item)
 
 
 def save_scheme_file(path, schemes=(), pairs=()) -> None:

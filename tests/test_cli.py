@@ -5,6 +5,7 @@ exit-code contract (0 ok, 2 bad input, 3 numerical failure), the files
 written, and determinism of reruns.
 """
 
+import hashlib
 import json
 import math
 import re
@@ -141,9 +142,9 @@ def test_run_output_dir_from_environment(tmp_path, monkeypatch):
 # ------------------------------------------------------- input errors
 
 
-def expect_exit_2(tmp_path, capsys, cfg, argv_extra=()):
+def expect_exit_2(tmp_path, capsys, cfg, argv_extra=(), command="run"):
     path = write_cfg(tmp_path, cfg)
-    code = main(["run", "--config", str(path), "--out", str(tmp_path), *argv_extra])
+    code = main([command, "--config", str(path), "--out", str(tmp_path), *argv_extra])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -404,6 +405,53 @@ def test_converge_missing_hs(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "hs" in capsys.readouterr().err
+
+
+def compare_config(**over):
+    return {"problem": gs_config()["problem"],
+            "compare": {"pair": "lie-avg", "t_end": 0.1, "tols": [1e-3], **over}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, where",
+    [
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "n": "abc"}}, "problem.n"),
+        ("run", {**gs_config(), "problem": "gs"}, "'problem' block"),
+        ("run", gs_config(t_end="soon"), "run.t_end"),
+        ("run", gs_config(mode="fixed", scheme="lie", h="x"), "run.h"),
+        ("converge", converge_config(hs=["big"]), "converge.hs"),
+        ("converge", converge_config(hs=0.05), "converge.hs"),
+        ("converge", converge_config(norms=["x"]), "converge.norms"),
+        ("compare", compare_config(tols=["x"]), "compare.tols"),
+        ("run", gs_config(snapshot_every="x"), "run.snapshot_every"),
+        ("run", gs_config(outputs={"trajectory": 5}), "run.outputs.trajectory"),
+    ],
+)
+def test_malformed_config_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         command, cfg, where):
+    import splitstep.cli as cli
+
+    def no_solve(*args, **kwargs):
+        pytest.fail("a solve started before the config was checked")
+
+    for name in ("integrate_adaptive", "integrate_fixed", "convergence_study",
+                 "efficiency_compare"):
+        monkeypatch.setattr(cli, name, no_solve)
+    err = expect_exit_2(tmp_path, capsys, cfg, command=command)
+    assert err.count("\n") == 1 and where in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_converge_records_scheme_file_provenance(tmp_path, capsys):
+    extra = scheme_file(tmp_path)
+    cfg = write_cfg(tmp_path, converge_config(hs=[0.04, 0.02], what=["global"]))
+    out = tmp_path / "out"
+    code = main(["converge", "--config", str(cfg), "--schemes", str(extra), "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(extra.read_bytes()).hexdigest()
+    lines = (out / "convergence_lie.csv").read_text().splitlines()
+    assert f"# scheme_file_0={extra}:{digest}" in lines
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------ compare

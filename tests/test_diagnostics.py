@@ -147,6 +147,19 @@ def test_one_step_ladder_stops_at_the_roundoff_floor():
     assert sobolev_norm(to_nodal(ref) - oracle, 0.0) <= 1e-13
 
 
+def test_reference_rungs_are_exact_halvings_of_h0():
+    prob, f = lin_prob(), lin_state()
+    solves = RecordingSolves(prob, f)
+    h0 = 0.3 / 8
+    ref, info = reference_solution(prob, f, 0.0, 0.3, h0=h0, solves=solves)
+    substeps = [n for n, _ in solves.calls]
+    assert len(substeps) >= 3
+    assert substeps == [8 * 2**k for k in range(len(substeps))]
+    # the returned step is the last rung requested, bitwise h0 / 2^k
+    assert info["h"] == h0 / 2 ** (len(substeps) - 1)
+    assert solves.calls[-1][1] is ref
+
+
 def test_fixed_solves_hands_out_one_read_only_state_per_key():
     prob, f = lin_prob(), lin_state()
     strang = REG.scheme("strang")
@@ -208,6 +221,34 @@ def test_convergence_study_detects_exact_splitting():
     rep = convergence_study(prob, REG.scheme("strang"), f, 0.0, 0.2, [0.02, 0.01, 0.005])
     assert rep.exact
     assert np.isnan(rep.slope("global"))
+
+
+def _cos(x):
+    return np.cos(np.pi * x)
+
+
+def _const(x):
+    return -0.4 + 0.0 * x
+
+
+@pytest.mark.parametrize(
+    "potential, hs, what",
+    [
+        (_cos, [0.02, 0.01, 0.005], ("local", "global")),  # every point above the floor
+        (_const, [0.02, 0.01, 0.005], ("local", "global")),  # exact splitting: none
+        (_cos, [0.02, 0.01, 1e-4, 1e-5, 1e-6], ("local",)),  # the smallest steps reach it
+    ],
+)
+def test_points_used_counts_the_errors_above_ten_times_the_floor(potential, hs, what):
+    prob = linear_problem(GRID, diffusion=0.2, potential=potential)
+    rep = convergence_study(prob, REG.scheme("strang"), lin_state(), 0.0, 0.2, hs,
+                            norms=(0.0, 1.0), what=what)
+    errors = {"local": (rep.local, rep.local_floor), "global": (rep.global_, rep.ref_floor)}
+    assert set(rep.points_used) == {(k, s) for k in what for s in (0.0, 1.0)}
+    for (kind, s), used in rep.points_used.items():
+        errs, floor = errors[kind]
+        assert used == np.count_nonzero(errs[s] > 10.0 * floor[s])
+        assert np.isnan(rep.slope(kind, s)) == (used < 2)
 
 
 def test_convergence_study_multiple_norms():

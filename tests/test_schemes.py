@@ -490,6 +490,61 @@ def test_scheme_file_grammar_violations(tmp_path, doc):
         load_scheme_file(builtin_registry(), path)
 
 
+_ONE = '"stages": [[1.0, 1.0]]'
+_EMB = '"kind": "embedded", "integrator": "emb2c", "controller": "comp3c"'
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"schemes": 5}',
+        '{"pairs": {"a": 1}}',
+        '{"schemes": [1]}',
+        '{"pairs": ["lie-avg"]}',
+        '{"schemes": [{"name": "x", "order": "two", %s}]}' % _ONE,
+        '{"schemes": [{"name": "x", "order": 1.5, %s}]}' % _ONE,
+        '{"schemes": [{"name": "x", "order": true, %s}]}' % _ONE,
+        '{"schemes": [{"name": ["x"], "order": 1, %s}]}' % _ONE,
+        '{"schemes": [{"name": "x", "order": 1, "stages": [[true, 1.0]]}]}',
+        '{"pairs": [{"name": "x", %s, "shared_prefix_len": "one"}]}' % _EMB,
+        '{"pairs": [{"name": "x", %s, "shared_prefix_len": null}]}' % _EMB,
+        '{"pairs": [{"name": "x", "kind": "milne", "integrator": "lie",'
+        ' "partner": "lie*", "gamma": true}]}',
+    ],
+)
+def test_malformed_scheme_file_values_exit_2_with_one_prefix(tmp_path, capsys, doc):
+    from splitstep.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    with pytest.raises(SchemeFileError):
+        load_scheme_file(builtin_registry(), path)
+    assert main(["schemes", "--schemes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert err.count(f"{path}:") == 1, err
+
+
+def test_embedded_pair_file_round_trip(tmp_path):
+    pair = SchemePair("emb23c-copy", "embedded", REG.scheme("emb2c"),
+                      controller=REG.scheme("comp3c"), shared_prefix_len=1)
+    path = tmp_path / "emb.json"
+    save_scheme_file(path, pairs=[pair])
+
+    reg = builtin_registry()
+    load_scheme_file(reg, path)
+    got = reg.pair("emb23c-copy")
+    assert got.kind == "embedded" and got.integrator is reg.scheme("emb2c")
+    assert got.controller is reg.scheme("comp3c") and got.shared_prefix_len == 1
+    assert (got.prefix_word, got.integrator_word, got.second_word) == (
+        pair.prefix_word, pair.integrator_word, pair.second_word
+    )
+
+    again = tmp_path / "again.json"
+    save_scheme_file(again, pairs=[got])
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_scheme_file_missing_path():
     with pytest.raises(SchemeFileError):
         load_scheme_file(builtin_registry(), "/no/such/file.json")
