@@ -30,6 +30,7 @@ import numpy as np
 
 from .control import StepControlConfig, integrate_adaptive, integrate_fixed, write_trajectory_csv
 from .diagnostics import (
+    _KINDS,
     FixedSolves,
     convergence_study,
     efficiency_compare,
@@ -47,7 +48,7 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import TorusGrid, write_field
+from .spectral import TorusGrid, _write_lines, write_field
 
 __all__ = ["main"]
 
@@ -115,6 +116,45 @@ def _floats(v) -> list:
     return [float(x) for x in v]
 
 
+def _steps(v) -> list:
+    hs = _floats(v)
+    if not hs or not all(h > 0 for h in hs):
+        raise ValueError(f"expected a non-empty list of positive steps, got {v!r}")
+    return hs
+
+
+def _indices(v) -> list:
+    norms = _floats(v)
+    if not all(s >= 0 for s in norms):
+        raise ValueError(f"expected Sobolev indices >= 0, got {v!r}")
+    return norms
+
+
+def _strings(v) -> list:
+    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
+        raise TypeError(f"expected a list of strings, got {v!r}")
+    return v
+
+
+def _kinds(v) -> tuple:
+    if not set(_strings(v)) <= set(_KINDS):
+        raise ValueError(f"entries must be 'local' or 'global', got {v!r}")
+    return tuple(v)
+
+
+def _numbers(v) -> dict:
+    if not isinstance(v, dict):
+        raise TypeError(f"expected an object of numbers, got {v!r}")
+    return {key: float(x) for key, x in v.items()}
+
+
+def _bool(v) -> bool:
+    # bool("false") is True: only JSON true/false are accepted
+    if not isinstance(v, bool):
+        raise TypeError(f"expected true or false, got {v!r}")
+    return v
+
+
 def _count(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ValueError(f"expected a positive integer, got {v!r}")
@@ -130,8 +170,8 @@ def _build_problem(cfg: dict, seed=None):
             a=_value(pcfg, "problem", "a", float, np.pi),
             n=_value(pcfg, "problem", "n", int, 64),
         )
-        params = pcfg.get("params", {})
-        dealias = bool(pcfg.get("dealias", False))
+        params = _value(pcfg, "problem", "params", _numbers, {})
+        dealias = _value(pcfg, "problem", "dealias", _bool, False)
         if name == "gray_scott":
             rk4_substep = _value(pcfg, "problem", "rk4_substep", float, 0.1)
             prob = gray_scott_problem(
@@ -157,11 +197,13 @@ def _build_problem(cfg: dict, seed=None):
     return prob, f0
 
 
-def _control_config(block: dict) -> StepControlConfig:
+def _control_config(block: dict, where: str) -> StepControlConfig:
     try:
         return StepControlConfig(**block)
     except TypeError as exc:
         raise ConfigError(f"control block: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config: {where}: {exc}") from None
 
 
 def _setup(args, command: str):
@@ -190,7 +232,7 @@ def _cmd_run(args) -> int:
     mode = rcfg.get("mode", "adaptive")
     if mode == "adaptive":
         pair = reg.pair(_value(rcfg, "run", "pair", str))
-        ctrl = _control_config(rcfg.get("control", {}))
+        ctrl = _control_config(rcfg.get("control", {}), "run.control")
         state, traj = integrate_adaptive(
             prob, pair, f0, t0, t_end, ctrl,
             snapshot_every=_value(rcfg, "run", "snapshot_every", _count, None),
@@ -210,7 +252,7 @@ def _cmd_run(args) -> int:
             fname = f"snapshot_{i:04d}.field"
             write_field(snap, out / fname)
             index.append(f"{i},{t!r},{fname}")
-        (out / "snapshots.csv").write_text("\n".join(index) + "\n")
+        _write_lines(out / "snapshots.csv", index)
     print(
         f"run: {traj.n_accepted} accepted, {traj.n_rejected} rejected, "
         f"{traj.total_flow_evals} flow evals, wall {traj.wall_time:.3f}s"
@@ -220,11 +262,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "converge")
-    names = ccfg.get("subjects") or [_value(ccfg, "converge", "subject", str)]
+    names = (_value(ccfg, "converge", "subjects", _strings, None)
+             or [_value(ccfg, "converge", "subject", str)])
     subjects = [(name, reg.pairs.get(name) or reg.scheme(name)) for name in names]
-    hs = _value(ccfg, "converge", "hs", _floats)
-    norms = tuple(_value(ccfg, "converge", "norms", _floats, [0.0]))
-    what = tuple(ccfg.get("what", ("local", "global")))
+    hs = _value(ccfg, "converge", "hs", _steps)
+    norms = tuple(_value(ccfg, "converge", "norms", _indices, [0.0]))
+    what = _value(ccfg, "converge", "what", _kinds, _KINDS)
     out = _out_dir(args)
     meta = _provenance(args, cfg)
     # the subjects share every fixed-step solve from f0 (reference ladders
@@ -252,13 +295,12 @@ def _cmd_compare(args) -> int:
     tols = _value(ccfg, "compare", "tols", _floats, None)
     if tols is None:
         tols = [_value(base, "compare.control", "tol", float, 1e-4)]
-    ctrls = [_control_config({**base, "tol": tol}) for tol in tols]
+    ctrls = [_control_config({**base, "tol": tol}, "compare.control") for tol in tols]
     out_file = _value(ccfg, "compare", "out", os.fspath, "efficiency.csv")
+    calibrate = _value(ccfg, "compare", "calibrate", _bool, True)
     rows = []
     for ctrl in ctrls:
-        row = efficiency_compare(
-            prob, pair, f0, t0, t_end, ctrl, calibrate=bool(ccfg.get("calibrate", True))
-        )
+        row = efficiency_compare(prob, pair, f0, t0, t_end, ctrl, calibrate=calibrate)
         rows.append(row)
         print(
             f"compare {row.method} tol={row.tol:g}: adaptive {row.steps_adaptive} "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,7 @@ from .exceptions import ConfigError, NumericalError, ToleranceAbortError
 from .estimators import estimate_step
 from .problems import SplitProblem
 from .schemes import SchemePair, SplittingScheme, compose_step
-from .spectral import Field, to_nodal
+from .spectral import Field, _write_lines, to_nodal
 
 __all__ = [
     "StepControlConfig",
@@ -73,6 +74,17 @@ class StepControlConfig:
             raise ConfigError("need 0 < h_min <= h_max")
         if self.reject_threshold < 1.0:
             raise ConfigError("reject_threshold below 1 would reject accepted-quality steps")
+        p = self.order_p
+        if p is not None and (isinstance(p, bool) or not isinstance(p, Integral) or p < 1):
+            raise ConfigError(f"order_p must be an integer >= 1, got {p!r}")
+        h = self.h_init
+        if h is not None and (isinstance(h, bool) or not isinstance(h, Real) or not h > 0):
+            raise ConfigError(f"h_init must be a positive number, got {h!r}")
+        if self.norm not in ("l2", "max"):
+            raise ConfigError(f"norm must be 'l2' or 'max', got {self.norm!r}")
+        for flag in ("local_extrapolation", "project_real"):
+            if not isinstance(getattr(self, flag), (bool, np.bool_)):
+                raise ConfigError(f"{flag} must be true or false, got {getattr(self, flag)!r}")
 
 
 @dataclass(frozen=True)
@@ -271,8 +283,6 @@ def _fmt(x) -> str:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write one row per attempt: t,h,est,accepted,flow_evals."""
-    lines = ["t,h,est,accepted,flow_evals"]
-    for r in traj.records:
-        lines.append(f"{r.t!r},{r.h!r},{_fmt(r.est)},{int(r.accepted)},{r.flow_evals}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["t,h,est,accepted,flow_evals"] + [
+        f"{r.t!r},{r.h!r},{_fmt(r.est)},{int(r.accepted)},{r.flow_evals}" for r in traj.records
+    ])

@@ -25,7 +25,6 @@ Error measurement conventions:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional
 
@@ -39,10 +38,10 @@ from .control import (
     integrate_fixed,
 )
 from .estimators import _match_space, estimate_step
-from .exceptions import ReferenceAccuracyError
+from .exceptions import ConfigError, ReferenceAccuracyError
 from .problems import GrayScottParams, SplitProblem, _gs_rhs_a, _gs_rhs_b, gs_commutator
 from .schemes import SchemePair, SchemeRegistry, SplittingScheme, builtin_registry, compose_step
-from .spectral import Field, sobolev_norm
+from .spectral import Field, _write_lines, sobolev_norm
 
 __all__ = [
     "FixedSolves",
@@ -57,6 +56,9 @@ __all__ = [
     "write_convergence_csv",
     "write_efficiency_csv",
 ]
+
+
+_KINDS = ("local", "global")  # the error kinds a convergence study measures
 
 
 def _err(a: Field, b: Field, s: float) -> float:
@@ -221,6 +223,8 @@ def convergence_study(
     several subjects; their fixed-step solves (global errors, references,
     one-step ladders) then run once.
     """
+    if isinstance(what, str) or not set(what) <= set(_KINDS):
+        raise ConfigError(f"what entries must be 'local' or 'global', got {what!r}")
     solves = _solves_for(prob, f0, solves)
     pair = subject if isinstance(subject, SchemePair) else None
     scheme = pair.integrator if pair else subject
@@ -362,16 +366,14 @@ def efficiency_compare(
     acc = traj.accepted_steps()
     body = acc[:-1] if len(acc) > 1 else acc
     h_min = min(r.h for r in body)
-    start = time.perf_counter()
     _, traj_eq = integrate_fixed(prob, pair.integrator, f0, t0, t_end, h_min)
-    t_eq = time.perf_counter() - start
     return EfficiencyRow(
         method=pair.name,
         tol=cfg.tol,
         steps_adaptive=len(acc),
         steps_equidist=len(traj_eq.records),
         time_adaptive=traj.wall_time,
-        time_equidist=t_eq,
+        time_equidist=traj_eq.wall_time,
         h_min=h_min,
         n_rejected=traj.n_rejected,
     )
@@ -421,46 +423,26 @@ def commutator_check(f: Field, params: GrayScottParams, eps: float = 1e-3) -> Co
 
 def write_convergence_csv(report: ConvergenceReport, path, preamble: Optional[dict] = None):
     """series,s,h,value rows with slope summary in trailing comments."""
-    lines = []
-    for key, val in (preamble or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append("series,s,h,value")
-
-    def emit(series, s, values):
-        for h, v in zip(report.hs, values):
-            lines.append(f"{series},{float(s)!r},{float(h)!r},{float(v)!r}")
-
-    for s, vals in report.local.items():
-        emit("local", s, vals)
-    for s, vals in report.global_.items():
-        emit("global", s, vals)
+    # (series, s, values, slope or None): the rows and the slope lines both come from here
+    series = [("local", s, v, report.local_slopes.get(s)) for s, v in report.local.items()]
+    series += [("global", s, v, report.global_slopes.get(s)) for s, v in report.global_.items()]
     if report.est is not None:
-        emit("est", 0.0, report.est)
-        emit("est_true", 0.0, report.est_true)
-        emit("est_deviation", 0.0, report.est_deviation)
-        emit("ctrl_local", 0.0, report.ctrl_local)
-    for s, v in report.local_slopes.items():
-        lines.append(f"# slope series=local s={s!r} value={v!r}")
-    for s, v in report.global_slopes.items():
-        lines.append(f"# slope series=global s={s!r} value={v!r}")
-    if report.est is not None:
-        lines.append(f"# slope series=est_deviation s=0.0 value={report.est_deviation_slope!r}")
-        lines.append(f"# slope series=ctrl_local s=0.0 value={report.ctrl_local_slope!r}")
+        series += [("est", 0.0, report.est, None), ("est_true", 0.0, report.est_true, None),
+                   ("est_deviation", 0.0, report.est_deviation, report.est_deviation_slope),
+                   ("ctrl_local", 0.0, report.ctrl_local, report.ctrl_local_slope)]
+    lines = ["series,s,h,value"]
+    lines += [f"{name},{float(s)!r},{float(h)!r},{float(v)!r}"
+              for name, s, values, _ in series for h, v in zip(report.hs, values)]
+    lines += [f"# slope series={name} s={s!r} value={slope!r}"
+              for name, s, _, slope in series if slope is not None]
     if report.exact:
         lines.append("# exact=1")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines, preamble)
 
 
 def write_efficiency_csv(rows, path, preamble: Optional[dict] = None):
-    lines = []
-    for key, val in (preamble or {}).items():
-        lines.append(f"# {key}={val}")
-    lines.append("method,tol,steps_adaptive,steps_equidist,time_adaptive,time_equidist")
-    for r in rows:
-        lines.append(
-            f"{r.method},{r.tol!r},{r.steps_adaptive},{r.steps_equidist},"
-            f"{r.time_adaptive:.6f},{r.time_equidist:.6f}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["method,tol,steps_adaptive,steps_equidist,time_adaptive,time_equidist"] + [
+        f"{r.method},{r.tol!r},{r.steps_adaptive},{r.steps_equidist},"
+        f"{r.time_adaptive:.6f},{r.time_equidist:.6f}"
+        for r in rows
+    ], preamble)

@@ -84,6 +84,6 @@ def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
     # an embedded controller's value stays in its own space
     control = u_second if g is None else _combine(-g / (1.0 - g), u_next,
                                                   1.0 / (1.0 - g), u_second)
-    diff = _combine(1.0, u_next, -1.0, control)
+    diff = u_next - _match_space(u_next, control)
     return EstimateResult(u_next, control, controller_norm(diff, norm),
                           n_pref + n_int + n_second)

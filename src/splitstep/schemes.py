@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, DegeneratePairWarning, SchemeFileError
-from .spectral import Field
+from .spectral import Field, _write_lines
 from .problems import SplitProblem
 
 __all__ = [
@@ -530,6 +530,4 @@ def save_scheme_file(path, schemes=(), pairs=()) -> None:
                 row["gamma"] = _dump_complex(p.gamma)
             rows.append(row)
         doc["pairs"] = rows
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_lines(path, [json.dumps(doc, indent=2)])

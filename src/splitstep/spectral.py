@@ -19,6 +19,11 @@ derivative orders zero the Nyquist column (the cosine mode has no
 well-defined odd derivative on the grid).  The Laplacian multiplier uses
 the Euclidean combination sum_j k_j^2, while the Sobolev norm weight uses
 the 1-norm |k| = |k_1| + ... + |k_d|; the two are intentionally distinct.
+
+Every text file the package writes (field snapshots, trajectory,
+convergence and efficiency CSVs, scheme files, the snapshot index) goes
+through one writer, ``_write_lines``: ``# key=value`` provenance lines,
+then the lines, each ending in a newline.
 """
 
 from __future__ import annotations
@@ -320,16 +325,19 @@ _MAGIC = "splitstep-field"
 _VERSION = 1
 
 
+def _write_lines(path, lines, preamble=None) -> None:
+    """Write one ``# key=value`` line per ``preamble`` entry, then ``lines``,
+    each ending in a newline."""
+    with open(path, "w") as fh:
+        fh.writelines(f"# {key}={val}\n" for key, val in (preamble or {}).items())
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def write_field(f: Field, path) -> None:
     """Write nodal values as the documented delimited-text snapshot."""
     u = to_nodal(f)
-    flat = u.data.reshape(u.m, -1)
-    lines = [f"{_MAGIC} {_VERSION} {f.grid.dim} {f.grid.a!r} {f.grid.n} {u.m}"]
-    for comp in flat:
-        for z in comp:
-            lines.append(f"{float(z.real)!r} {float(z.imag)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"{_MAGIC} {_VERSION} {f.grid.dim} {f.grid.a!r} {f.grid.n} {u.m}"
+    _write_lines(path, [header] + [f"{float(z.real)!r} {float(z.imag)!r}" for z in u.data.ravel()])
 
 
 def read_field(path) -> Field:

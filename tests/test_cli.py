@@ -518,3 +518,50 @@ def test_module_invocation_round_trip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "accepted" in proc.stdout
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+def test_compare_without_tols_writes_one_row_at_the_control_tol(tmp_path, capsys):
+    cfg = compare_config(control={"tol": 2e-3})
+    del cfg["compare"]["tols"]
+    path = write_cfg(tmp_path, cfg)
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "efficiency.csv").read_text().splitlines()
+    rows = [l for l in lines if not l.startswith("#")][1:]
+    assert len(rows) == 1 and float(rows[0].split(",")[1]) == 2e-3
+
+
+def _control(**over):
+    return gs_config(control={"tol": 1e-4, **over})
+
+
+@pytest.mark.parametrize(
+    "command, cfg, where",
+    [
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "dealias": "false"}},
+         "problem.dealias"),
+        ("compare", compare_config(calibrate="no"), "compare.calibrate"),
+        ("run", _control(project_real="no"), "run.control: project_real"),
+        ("run", _control(local_extrapolation="no"), "run.control: local_extrapolation"),
+        ("run", _control(h_init="x"), "run.control: h_init"),
+        ("run", _control(h_init=-0.1), "run.control: h_init"),
+        ("run", _control(order_p="2"), "run.control: order_p"),
+        ("run", _control(order_p=0), "run.control: order_p"),
+        ("run", _control(norm="l1"), "run.control: norm"),
+        ("compare", compare_config(control={"norm": "l1"}), "compare.control: norm"),
+        ("converge", converge_config(norms=[-1.0]), "converge.norms"),
+        ("converge", converge_config(subjects=[["lie"]]), "converge.subjects"),
+        ("converge", converge_config(what=["locl"]), "converge.what"),
+        ("converge", converge_config(what="local"), "converge.what"),
+        ("converge", converge_config(hs=[]), "converge.hs"),
+        ("converge", converge_config(hs=[0.02, -0.01]), "converge.hs"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "params": {"alpha": "x"}}},
+         "problem.params"),
+    ],
+)
+def test_bad_flag_control_or_converge_value_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, cfg, where):
+    # the same check as for the malformed values above: one error line,
+    # no solve started, nothing written
+    test_malformed_config_value_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, cfg, where)

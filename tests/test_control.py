@@ -364,3 +364,19 @@ def test_trajectory_csv_fixed_run_has_empty_est(tmp_path):
     write_trajectory_csv(traj, p)
     for line in p.read_text().splitlines()[1:]:
         assert line.split(",")[2] == ""
+
+
+@pytest.mark.parametrize("bad", [
+    {"order_p": 0}, {"order_p": "2"}, {"order_p": True}, {"order_p": 1.5},
+    {"h_init": -0.1}, {"h_init": 0.0}, {"h_init": "x"},
+    {"norm": "l1"},
+    {"local_extrapolation": "no"}, {"project_real": "false"}, {"project_real": 1},
+])
+def test_config_refuses_malformed_control_values(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        StepControlConfig(tol=1e-5, **bad)
+
+
+def test_config_accepts_the_documented_forms():
+    StepControlConfig(tol=1e-5, order_p=np.int64(2), h_init=1, norm="max",
+                      local_extrapolation=True, project_real=np.bool_(False))

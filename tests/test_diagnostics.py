@@ -392,3 +392,59 @@ def test_efficiency_csv_contents(tmp_path):
     assert cells[0] == "lie-avg"
     assert float(cells[1]) == 1e-5
     assert int(cells[2]) == row.steps_adaptive and int(cells[3]) == row.steps_equidist
+
+
+def test_efficiency_time_equidist_is_the_equidistant_wall_time(monkeypatch):
+    import splitstep.diagnostics as diagnostics
+
+    real = diagnostics.integrate_fixed
+
+    def timed(*args, **kwargs):
+        state, traj = real(*args, **kwargs)
+        traj.wall_time = 12.5
+        return state, traj
+
+    monkeypatch.setattr(diagnostics, "integrate_fixed", timed)
+    row = efficiency_compare(lin_prob(), REG.pair("lie-avg"), lin_state(), 0.0, 0.3,
+                             StepControlConfig(tol=1e-5))
+    assert row.time_equidist == 12.5
+
+
+def test_local_only_pair_csv_lists_each_series_once_in_order(tmp_path):
+    rep = convergence_study(lin_prob(), REG.pair("lie-avg"), lin_state(), 0.0, 0.2,
+                            [0.01, 0.005], what=("local",))
+    p = tmp_path / "conv.csv"
+    write_convergence_csv(rep, p)
+    lines = p.read_text().splitlines()
+    rows = [l.split(",")[0] for l in lines[1:] if not l.startswith("#")]
+    assert rows == [name for name in ("local", "est", "est_true", "est_deviation", "ctrl_local")
+                    for _ in rep.hs]
+    slopes = [l.split()[2] for l in lines if l.startswith("# slope")]
+    assert slopes == ["series=local", "series=est_deviation", "series=ctrl_local"]
+
+
+@pytest.mark.parametrize("what", [("locl",), "local", ("local", "both")])
+def test_convergence_study_refuses_unknown_kinds(what):
+    from splitstep import ConfigError
+
+    with pytest.raises(ConfigError, match="what"):
+        convergence_study(lin_prob(), REG.scheme("lie"), lin_state(), 0.0, 0.2, [0.01],
+                          what=what)
+
+
+def test_one_step_ladder_out_of_rungs_returns_the_last_rung_and_its_deltas():
+    # u1 is a finer reference, so 1% of its error is out of reach of the
+    # one rung allowed: the ladder ends on its rung count, at h/16
+    prob, f = lin_prob(), lin_state()
+    ref_scheme = REG.highest_order_scheme(arity=prob.arity)
+    h, norms = 0.1, (0.0, 1.0)
+    solves = RecordingSolves(prob, f)
+    u1 = solves.run(ref_scheme, 0.0, h, h / 256)
+    solves.calls.clear()
+    ref, deltas = _one_step_reference(solves, ref_scheme, 0.0, h, norms, u1, None,
+                                      max_halvings=1)
+    assert [n for n, _ in solves.calls] == [8, 16]
+    coarse, fine = (state for _, state in solves.calls)
+    assert ref is fine
+    assert deltas == {s: _err(fine, coarse, s) for s in norms}
+    assert max(deltas.values()) > 1e-2 * min(_err(u1, fine, s) for s in norms)

@@ -548,3 +548,26 @@ def test_embedded_pair_file_round_trip(tmp_path):
 def test_scheme_file_missing_path():
     with pytest.raises(SchemeFileError):
         load_scheme_file(builtin_registry(), "/no/such/file.json")
+
+
+def test_saved_scheme_file_bytes_are_pinned(tmp_path):
+    path = tmp_path / "lie.json"
+    save_scheme_file(path, schemes=[REG.scheme("lie")])
+    assert path.read_bytes() == b"""\
+{
+  "schemes": [
+    {
+      "name": "lie",
+      "order": 1,
+      "stages": [
+        [
+          1.0,
+          1.0
+        ]
+      ],
+      "parabolic_safe": true,
+      "palindromic": true
+    }
+  ]
+}
+"""

@@ -360,3 +360,23 @@ def test_laplacian_symbol_is_fresh_and_bitwise_the_formula(grid):
     assert lap.flags.writeable
     lap[...] = 0.0
     assert laplacian_symbol(grid).any()
+
+
+def test_write_lines_puts_the_preamble_first_and_ends_every_line(tmp_path):
+    from splitstep.spectral import _write_lines
+
+    p = tmp_path / "with.txt"
+    _write_lines(p, ["r1", "r2"], {"a": 1, "b": "x"})
+    assert p.read_bytes() == b"# a=1\n# b=x\nr1\nr2\n"
+    _write_lines(p, ["r1", "r2"])
+    assert p.read_bytes() == b"r1\nr2\n"
+
+
+def test_field_file_bytes_are_pinned(tmp_path):
+    # repr() floats, the sign of a zero kept, one "re im" line per node
+    f = Field(TorusGrid(1, 1.0, 4), np.array([0.5, -0.0, 1.25 + 2j, -3.0 - 0.5j]))
+    p = tmp_path / "small.field"
+    write_field(f, p)
+    assert p.read_bytes() == (
+        b"splitstep-field 1 1 1.0 4 1\n0.5 0.0\n-0.0 0.0\n1.25 2.0\n-3.0 -0.5\n"
+    )
