@@ -155,15 +155,38 @@ def _bool(v) -> bool:
     return v
 
 
+def _positive(v) -> float:
+    x = float(v)
+    if not x > 0:
+        raise ValueError(f"expected a positive number, got {v!r}")
+    return x
+
+
 def _count(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ValueError(f"expected a positive integer, got {v!r}")
     return v
 
 
+# The keys each problem takes besides these common ones; any other key in
+# the problem block is refused, as a pair entry refuses another kind's keys.
+_PROBLEM_COMMON = {"name", "dim", "a", "n", "initial", "initial_args"}
+_PROBLEM_KEYS = {
+    "gray_scott": {"params", "rk4_substep", "dealias"},
+    "gray_scott_abc": {"params", "dealias"},
+    "van_der_pol": {"params"},
+    "linear": {"diffusion"},
+}
+
+
 def _build_problem(cfg: dict, seed=None):
     pcfg = _block(cfg, "problem")
     name = _value(pcfg, "problem", "name", str)
+    if name not in _PROBLEM_KEYS:
+        raise ConfigError(f"unknown problem {name!r}; available: {sorted(_PROBLEM_KEYS)}")
+    stray = set(pcfg) - _PROBLEM_COMMON - _PROBLEM_KEYS[name]
+    if stray:
+        raise ConfigError(f"config: problem: {name!r} takes no {sorted(stray)}")
     try:
         grid = TorusGrid(
             dim=_value(pcfg, "problem", "dim", int, 1),
@@ -173,7 +196,7 @@ def _build_problem(cfg: dict, seed=None):
         params = _value(pcfg, "problem", "params", _numbers, {})
         dealias = _value(pcfg, "problem", "dealias", _bool, False)
         if name == "gray_scott":
-            rk4_substep = _value(pcfg, "problem", "rk4_substep", float, 0.1)
+            rk4_substep = _value(pcfg, "problem", "rk4_substep", _positive, 0.1)
             prob = gray_scott_problem(
                 grid, GrayScottParams(**params), rk4_substep=rk4_substep, dealias=dealias
             )
@@ -181,10 +204,8 @@ def _build_problem(cfg: dict, seed=None):
             prob = gray_scott_abc_problem(grid, GrayScottParams(**params), dealias=dealias)
         elif name == "van_der_pol":
             prob = van_der_pol_problem(grid, VdpParams(**params))
-        elif name == "linear":
-            prob = linear_problem(grid, diffusion=_value(pcfg, "problem", "diffusion", float, 0.5))
         else:
-            raise ConfigError(f"unknown problem {name!r}")
+            prob = linear_problem(grid, diffusion=_value(pcfg, "problem", "diffusion", float, 0.5))
         ic_args = dict(pcfg.get("initial_args", {}))
         if seed is not None:
             ic_args["seed"] = seed
@@ -212,8 +233,11 @@ def _setup(args, command: str):
     reg = _registry_from(args)
     prob, f0 = _build_problem(cfg, seed=args.seed)
     block = _block(cfg, command)
-    t0 = _value(block, command, "t0", float, 0.0)
-    return cfg, reg, prob, f0, block, t0, _value(block, command, "t_end")
+    t0, t_end = _value(block, command, "t0", float, 0.0), _value(block, command, "t_end")
+    # a zero span is a no-op for run, but leaves converge and compare nothing to measure
+    if command != "run" and not t_end > t0:
+        raise ConfigError(f"config: {command}: t_end={t_end!r} must exceed t0={t0!r}")
+    return cfg, reg, prob, f0, block, t0, t_end
 
 
 def _out_dir(args) -> Path:
@@ -314,24 +338,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_schemes(args) -> int:
     reg = _registry_from(args)
-    print("schemes:")
-    for name in sorted(reg.schemes):
-        s = reg.schemes[name]
-        flags = [flag for flag, on in (("parabolic-safe", s.parabolic_safe),
-                                       ("palindromic", s.palindromic),
-                                       ("complex", s.is_complex)) if on]
-        tag = f" [{', '.join(flags)}]" if flags else ""
-        print(f"  {name}: order {s.order}, arity {s.arity}, {s.s} stages, "
-              f"{s.flow_evals} flows{tag}")
-    print("pairs:")
-    for name in sorted(reg.pairs):
-        p = reg.pairs[name]
-        extra = ""
-        if p.kind == "embedded":
-            extra = f", controller {p.controller.name}, shared prefix {p.shared_prefix_len}"
-        elif p.kind == "milne":
-            extra = f", partner {p.partner.name}, gamma {p.gamma}"
-        print(f"  {name}: {p.kind} over {p.integrator.name} (order {p.order}){extra}")
+    for title, entries in (("schemes", reg.schemes), ("pairs", reg.pairs)):
+        print(f"{title}:", *(f"  {entries[name]}" for name in sorted(entries)), sep="\n")
     return 0
 
 

@@ -126,8 +126,11 @@ class SplittingScheme:
         return swapped == w
 
     def __str__(self):
-        kind = "complex" if self.is_complex else "real"
-        return f"{self.name}: order {self.order}, arity {self.arity}, {self.s} stages, {kind}"
+        """This scheme's line in the ``splitstep schemes`` listing."""
+        flags = ", ".join(flag for flag, on in (("parabolic-safe", self.parabolic_safe),
+                          ("palindromic", self.palindromic), ("complex", self.is_complex)) if on)
+        return (f"{self.name}: order {self.order}, arity {self.arity}, {self.s} stages, "
+                f"{self.flow_evals} flows" + (f" [{flags}]" if flags else ""))
 
 
 def _pack_word(word, arity) -> tuple:
@@ -188,7 +191,16 @@ def compose_step(scheme: SplittingScheme, prob: SplitProblem, h: complex, f: Fie
 # Pairs
 # ---------------------------------------------------------------------------
 
-_PAIR_KINDS = ("embedded", "adjoint_average", "milne", "palindromic")
+# Each pair kind's fields besides its integrator, in file order, with their labels
+# in the listing (str() of a pair); the loader and save_scheme_file read it too.
+_PAIR_FIELDS = {
+    "embedded": (("controller", "controller"), ("shared_prefix_len", "shared prefix")),
+    "milne": (("partner", "partner"), ("gamma", "gamma")),
+    "adjoint_average": (), "palindromic": ()}
+
+
+def _named(value):  # a pair field as listed and saved: a scheme by its name
+    return value.name if isinstance(value, SplittingScheme) else value
 
 
 @dataclass(frozen=True)
@@ -226,7 +238,7 @@ class SchemePair:
     second_word: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _PAIR_KINDS:
+        if self.kind not in _PAIR_FIELDS:
             raise ConfigError(f"{self.name}: unknown pair kind {self.kind!r}")
         p = self.integrator.order
         if self.kind == "embedded":
@@ -285,6 +297,12 @@ class SchemePair:
     @property
     def order(self) -> int:
         return self.integrator.order
+
+    def __str__(self):
+        """This pair's line in the ``splitstep schemes`` listing."""
+        extra = "".join(f", {label} {_named(getattr(self, key))}"
+                        for key, label in _PAIR_FIELDS[self.kind])
+        return f"{self.name}: {self.kind} over {self.integrator.name} (order {self.order}){extra}"
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +428,11 @@ def builtin_registry() -> SchemeRegistry:
 # Pair entries name registered schemes (from the same file or built-ins):
 #
 #   {"name": str, "kind": "embedded", "integrator": str, "controller": str,
-#    "shared_prefix_len": int}
+#    "shared_prefix_len": int (optional, default 0)}
 #   {"name": str, "kind": "milne", "integrator": str, "partner": str,
 #    "gamma": number | [re, im]}
 #   {"name": str, "kind": "adjoint_average" | "palindromic", "integrator": str}
+# A pair entry takes only its kind's keys; any other key is refused.
 # ---------------------------------------------------------------------------
 
 def _parse_complex(x):
@@ -430,7 +449,7 @@ def _dump_complex(z: complex):
 
 
 _SCHEME_KEYS = {"name", "order", "stages", "parabolic_safe", "palindromic"}
-_PAIR_KEYS = {"name", "kind", "integrator", "controller", "partner", "gamma", "shared_prefix_len"}
+_PAIR_KEYS = {"name", "kind", "integrator"}.union(*map(dict, _PAIR_FIELDS.values()))
 _JSON_TYPES = {int: "an integer", str: "a string"}
 
 
@@ -452,10 +471,14 @@ def _scheme_from(entry: dict, registry: SchemeRegistry) -> SplittingScheme:
 
 
 def _pair_from(entry: dict, registry: SchemeRegistry) -> SchemePair:
+    kind = entry["kind"]
+    stray = set(entry) - {"name", "kind", "integrator", *dict(_PAIR_FIELDS.get(kind, ()))}
+    if stray and kind in _PAIR_FIELDS:  # an unknown kind is refused by SchemePair
+        raise ValueError(f"a {kind!r} pair takes no {sorted(stray)}")
     seconds = {k: registry.scheme(entry[k]) for k in ("controller", "partner") if k in entry}
     return SchemePair(
         name=_typed(entry, "name", str),
-        kind=entry["kind"],
+        kind=kind,
         integrator=registry.scheme(entry["integrator"]),
         gamma=_parse_complex(entry["gamma"]) if "gamma" in entry else None,
         shared_prefix_len=_typed(entry, "shared_prefix_len", int, 0),
@@ -509,25 +532,16 @@ def save_scheme_file(path, schemes=(), pairs=()) -> None:
     doc = {}
     if schemes:
         doc["schemes"] = [
-            {
-                "name": s.name,
-                "order": s.order,
-                "stages": [[_dump_complex(c) for c in st] for st in s.stages],
-                "parabolic_safe": s.parabolic_safe,
-                "palindromic": s.palindromic,
-            }
+            {"name": s.name, "order": s.order,
+             "stages": [[_dump_complex(c) for c in st] for st in s.stages],
+             "parabolic_safe": s.parabolic_safe, "palindromic": s.palindromic}
             for s in schemes
         ]
     if pairs:
-        rows = []
-        for p in pairs:
-            row = {"name": p.name, "kind": p.kind, "integrator": p.integrator.name}
-            if p.kind == "embedded":
-                row["controller"] = p.controller.name
-                row["shared_prefix_len"] = p.shared_prefix_len
-            elif p.kind == "milne":
-                row["partner"] = p.partner.name
-                row["gamma"] = _dump_complex(p.gamma)
-            rows.append(row)
-        doc["pairs"] = rows
+        doc["pairs"] = [
+            {"name": p.name, "kind": p.kind, "integrator": p.integrator.name,
+             **{key: _dump_complex(p.gamma) if key == "gamma" else _named(getattr(p, key))
+                for key, _ in _PAIR_FIELDS[p.kind]}}
+            for p in pairs
+        ]
     _write_lines(path, [json.dumps(doc, indent=2)])

@@ -565,3 +565,57 @@ def test_bad_flag_control_or_converge_value_exits_2_before_any_solve(
     # no solve started, nothing written
     test_malformed_config_value_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, command, cfg, where)
+
+
+def _problem(**keys):
+    return {**gs_config(), "problem": {**gs_config()["problem"], **keys}}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, where",
+    [
+        ("converge", converge_config(t_end=0.0), "converge: t_end=0.0 must exceed t0=0.0"),
+        ("compare", compare_config(t_end=0.0, calibrate=False),
+         "compare: t_end=0.0 must exceed t0=0.0"),
+        ("compare", compare_config(t_end=0.0), "compare: t_end=0.0 must exceed t0=0.0"),
+        ("compare", compare_config(t0=0.2), "compare: t_end=0.1 must exceed t0=0.2"),
+        ("run", _problem(rk4_substep=0), "problem.rk4_substep"),
+        ("run", _problem(rk4_substep=-1), "problem.rk4_substep"),
+        ("run", _problem(rk4_substep="x"), "problem.rk4_substep"),
+        ("run", _problem(name="van_der_pol", dealias=True, rk4_substep=5, diffusion=3),
+         "problem: 'van_der_pol' takes no ['dealias', 'diffusion', 'rk4_substep']"),
+        ("run", _problem(name="linear", params={"alpha": 0.04}),
+         "problem: 'linear' takes no ['params']"),
+        ("run", _problem(diffusion=0.5), "problem: 'gray_scott' takes no ['diffusion']"),
+        ("run", _problem(name="gray_scott_abc", rk4_substep=0.1),
+         "problem: 'gray_scott_abc' takes no ['rk4_substep']"),
+    ],
+)
+def test_empty_span_bad_substep_or_foreign_problem_key_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, cfg, where):
+    test_malformed_config_value_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, cfg, where)
+
+
+@pytest.mark.parametrize("run", [{}, {"mode": "fixed", "scheme": "lie", "h": 0.1}])
+def test_run_over_an_empty_span_is_a_no_op(tmp_path, capsys, run):
+    cfg = write_cfg(tmp_path, gs_config(t0=0.3, **run))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "trajectory.csv").read_text().splitlines() == [
+        "t,h,est,accepted,flow_evals"
+    ]
+    assert "run: 0 accepted, 0 rejected, 0 flow evals" in capsys.readouterr().out
+
+
+def test_readme_example_config_is_valid(tmp_path, capsys):
+    import pathlib
+
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text()
+    start = text.index("```json", text.index("### Config file")) + len("```json")
+    cfg = json.loads(text[start:text.index("```", start)])
+    cfg["problem"]["n"] = 32
+    cfg["run"] = {**cfg["run"], "t_end": 0.05, "snapshot_times": [0.02]}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()

@@ -571,3 +571,110 @@ def test_saved_scheme_file_bytes_are_pinned(tmp_path):
   ]
 }
 """
+
+
+# ---------------------------------------------------------------------------
+# the table of pair kinds: what a file may give each kind, and how it lists
+
+
+@pytest.mark.parametrize(
+    "entry, key",
+    [
+        ({"kind": "embedded", "integrator": "emb2c", "controller": "comp3c",
+          "gamma": -1.0}, "gamma"),
+        ({"kind": "milne", "integrator": "lie", "partner": "lie*", "gamma": -1.0,
+          "shared_prefix_len": 1}, "shared_prefix_len"),
+        ({"kind": "adjoint_average", "integrator": "comp3c", "gamma": 0.5,
+          "controller": "comp3c"}, "controller"),
+        ({"kind": "palindromic", "integrator": "lie", "partner": "lie*"}, "partner"),
+    ],
+)
+def test_pair_entry_with_a_key_its_kind_does_not_take_exits_2(tmp_path, capsys, entry, key):
+    from splitstep.cli import main
+
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps({"pairs": [{"name": "stray", **entry}]}))
+    with pytest.raises(SchemeFileError, match=key):
+        load_scheme_file(builtin_registry(), path)
+    assert main(["schemes", "--schemes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert f"{path}: pair 'stray': " in err and repr(key) in err, err
+
+
+def test_str_of_every_builtin_is_its_listing_line(capsys):
+    from splitstep.cli import main
+
+    assert main(["schemes"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "schemes:", *(f"  {REG.schemes[name]}" for name in sorted(REG.schemes)),
+        "pairs:", *(f"  {REG.pairs[name]}" for name in sorted(REG.pairs)),
+    ]
+    assert str(REG.scheme("strang")) == (
+        "strang: order 2, arity 2, 2 stages, 3 flows [parabolic-safe]")
+    assert str(REG.pair("emb23c")) == (
+        "emb23c: embedded over emb2c (order 2), controller comp3c, shared prefix 1")
+    assert str(REG.pair("lie-avg")) == "lie-avg: adjoint_average over lie (order 1)"
+
+
+def test_milne_pair_with_complex_gamma_lists_its_gamma_as_a_python_complex(tmp_path, capsys):
+    from splitstep.cli import main
+
+    path = tmp_path / "cmilne.json"
+    path.write_text(json.dumps({"pairs": [{"name": "cmilne", "kind": "milne", "integrator": "lie",
+                                           "partner": "lie*", "gamma": [-1.0, 0.5]}]}))
+    assert main(["schemes", "--schemes", str(path)]) == 0
+    line = "cmilne: milne over lie (order 1), partner lie*, gamma (-1+0.5j)"
+    assert f"  {line}\n" in capsys.readouterr().out
+    reg = builtin_registry()
+    load_scheme_file(reg, path)
+    assert str(reg.pair("cmilne")) == line
+
+
+def test_saved_pair_of_every_kind_bytes_are_pinned(tmp_path):
+    pairs = [
+        SchemePair("e", "embedded", REG.scheme("emb2c"), controller=REG.scheme("comp3c"),
+                   shared_prefix_len=1),
+        SchemePair("m", "milne", REG.scheme("lie"), partner=REG.scheme("lie*"),
+                   gamma=complex(-1.0, 0.5)),
+        SchemePair("a", "adjoint_average", REG.scheme("comp3c")),
+        SchemePair("p", "palindromic", REG.scheme("lie")),
+    ]
+    path = tmp_path / "pairs.json"
+    save_scheme_file(path, pairs=pairs)
+    assert path.read_bytes() == b"""\
+{
+  "pairs": [
+    {
+      "name": "e",
+      "kind": "embedded",
+      "integrator": "emb2c",
+      "controller": "comp3c",
+      "shared_prefix_len": 1
+    },
+    {
+      "name": "m",
+      "kind": "milne",
+      "integrator": "lie",
+      "partner": "lie*",
+      "gamma": [
+        -1.0,
+        0.5
+      ]
+    },
+    {
+      "name": "a",
+      "kind": "adjoint_average",
+      "integrator": "comp3c"
+    },
+    {
+      "name": "p",
+      "kind": "palindromic",
+      "integrator": "lie"
+    }
+  ]
+}
+"""
+    reg = builtin_registry()
+    load_scheme_file(reg, path)
+    assert [str(reg.pair(p.name)) for p in pairs] == [str(p) for p in pairs]

@@ -10,6 +10,9 @@ each tree, in a fresh temporary directory per run, the script
   file the run writes, and the stdout of ``converge`` (``run`` prints the
   wall time, so its stdout is not compared);
 * runs ``splitstep schemes`` and collects the listing it prints;
+* saves a scheme file with a fresh-named pair of every kind (a Milne pair
+  with complex gamma among them) through ``save_scheme_file``, lists it
+  with ``splitstep schemes --schemes``, and collects the file and listing;
 * runs ``demos/01``-``05`` and collects their stdout and every file they
   write.
 
@@ -31,6 +34,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("run", "converge")
 
+# Saves one pair of every kind under a fresh name, then lists the file.
+SCHEME_FILE_JOB = """
+import sys
+from splitstep import SchemePair, builtin_registry, save_scheme_file
+from splitstep.cli import main
+
+reg = builtin_registry()
+pairs = [SchemePair("file-" + p.name, p.kind, p.integrator, controller=p.controller,
+                    partner=p.partner, gamma=p.gamma, shared_prefix_len=p.shared_prefix_len)
+         for p in reg.pairs.values()]
+pairs.append(SchemePair("file-cmilne", "milne", reg.scheme("lie"), partner=reg.scheme("lie*"),
+                        gamma=complex(-1.0, 0.5)))
+save_scheme_file("pairs.json", pairs=pairs)
+sys.exit(main(["schemes", "--schemes", "pairs.json"]))
+"""
+
 
 def _jobs() -> list:
     """(label, argv, compare stdout) of every run."""
@@ -42,6 +61,7 @@ def _jobs() -> list:
         argv = ["-m", "splitstep.cli", cmd, "--config", str(cfg), "--out", "."]
         jobs.append((f"cli {cfg.stem}", argv, cmd == "converge"))
     jobs.append(("cli schemes", ["-m", "splitstep.cli", "schemes"], True))
+    jobs.append(("scheme file", ["-c", SCHEME_FILE_JOB], True))
     for demo in sorted((ROOT / "demos").glob("0[1-5]_*.py")):
         jobs.append((f"demo {demo.stem}", [str(demo)], True))
     return jobs
