@@ -106,7 +106,7 @@ def _value(block: dict, where: str, key: str, convert=float, default=_REQUIRED):
         return default
     try:
         return convert(block[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config: {where}.{key}: {exc}") from None
 
 
@@ -116,11 +116,12 @@ def _floats(v) -> list:
     return [float(x) for x in v]
 
 
-def _steps(v) -> list:
-    hs = _floats(v)
-    if not hs or not all(h > 0 for h in hs):
-        raise ValueError(f"expected a non-empty list of positive steps, got {v!r}")
-    return hs
+def _positives(v) -> list:
+    # steps and tolerances: an empty list would measure nothing
+    xs = _floats(v)
+    if not xs or not all(x > 0 for x in xs):
+        raise ValueError(f"expected a non-empty list of positive numbers, got {v!r}")
+    return xs
 
 
 def _indices(v) -> list:
@@ -153,6 +154,13 @@ def _bool(v) -> bool:
     if not isinstance(v, bool):
         raise TypeError(f"expected true or false, got {v!r}")
     return v
+
+
+def _finite(v) -> float:
+    x = float(v)
+    if not np.isfinite(x):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return x
 
 
 def _positive(v) -> float:
@@ -233,7 +241,8 @@ def _setup(args, command: str):
     reg = _registry_from(args)
     prob, f0 = _build_problem(cfg, seed=args.seed)
     block = _block(cfg, command)
-    t0, t_end = _value(block, command, "t0", float, 0.0), _value(block, command, "t_end")
+    t0 = _value(block, command, "t0", _finite, 0.0)
+    t_end = _value(block, command, "t_end", _finite)
     # a zero span is a no-op for run, but leaves converge and compare nothing to measure
     if command != "run" and not t_end > t0:
         raise ConfigError(f"config: {command}: t_end={t_end!r} must exceed t0={t0!r}")
@@ -289,7 +298,7 @@ def _cmd_converge(args) -> int:
     names = (_value(ccfg, "converge", "subjects", _strings, None)
              or [_value(ccfg, "converge", "subject", str)])
     subjects = [(name, reg.pairs.get(name) or reg.scheme(name)) for name in names]
-    hs = _value(ccfg, "converge", "hs", _steps)
+    hs = _value(ccfg, "converge", "hs", _positives)
     norms = tuple(_value(ccfg, "converge", "norms", _indices, [0.0]))
     what = _value(ccfg, "converge", "what", _kinds, _KINDS)
     out = _out_dir(args)
@@ -316,7 +325,7 @@ def _cmd_compare(args) -> int:
     cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "compare")
     pair = reg.pair(_value(ccfg, "compare", "pair", str))
     base = _value(ccfg, "compare", "control", dict, {})
-    tols = _value(ccfg, "compare", "tols", _floats, None)
+    tols = _value(ccfg, "compare", "tols", _positives, None)
     if tols is None:
         tols = [_value(base, "compare.control", "tol", float, 1e-4)]
     ctrls = [_control_config({**base, "tol": tol}, "compare.control") for tol in tols]

@@ -25,9 +25,19 @@ Diffusive flows refuse Re(t) < 0, which would amplify high modes.
 Each operator's math is written once.  Pointwise operators are kernels
 over the nodal components, which ``_nodal`` alone converts, stacks,
 checks (overflow is a BlowUpError) and dealiases.  Modal operators share
-their symbol per (grid, params) between flow and rhs: ``_gs_symbol`` and
-``_vdp_symbol``, over ``spectral._kappa_sq``, are cached read-only through
-``spectral._grid_cache``.
+their symbol per (grid, params) between flow and rhs: ``_gs_symbol``,
+``_vdp_symbol`` and ``_linear_symbol``, over ``spectral._kappa_sq``, are
+cached read-only through ``spectral._grid_cache``.
+
+A modal flow only applies its factors exp(symbol * t), which
+``_gs_factor``, ``_vdp_factors`` and ``_linear_factor`` build and cache,
+read-only, per (grid, params, t).  The same t recurs within a step (an
+estimator's second word repeats the integrator's A-times) and on every
+step of a fixed-step run.  Each cache keeps ``_FLOW_TIMES`` = 3 entries,
+the most distinct A-times a built-in scheme has in one step (``comp3c``
+and ``emb2c``): two would thrash on ``comp3c``'s three, and more would
+only hold more field-sized factors on 2D and 3D grids.  A refused t
+(Re(t) < 0) never reaches a cache.
 """
 
 from __future__ import annotations
@@ -67,6 +77,10 @@ __all__ = [
     "initial_condition",
     "PRESETS",
 ]
+
+# entries per flow-factor cache; the module docstring says why 3
+_FLOW_TIMES = 3
+
 
 @dataclass(frozen=True)
 class GrayScottParams:
@@ -150,6 +164,11 @@ def _gs_symbol(grid: TorusGrid, p: GrayScottParams) -> np.ndarray:
     return np.stack([-p.c1 * ksq - p.alpha, -p.c2 * ksq - p.beta])
 
 
+@_grid_cache(maxsize=_FLOW_TIMES)
+def _gs_factor(grid: TorusGrid, p: GrayScottParams, t: complex) -> np.ndarray:
+    return np.exp(_gs_symbol(grid, p) * t)
+
+
 def gs_linear_flow(t: complex, f: Field, p: GrayScottParams) -> Field:
     """Exact flow of A: diffusion + linear decay + constant feed alpha.
 
@@ -157,7 +176,7 @@ def gs_linear_flow(t: complex, f: Field, p: GrayScottParams) -> Field:
     u0 <- 1 + (u0 - 1)*exp(-alpha*t).
     """
     _require_forward(t, "gs_linear_flow")
-    out = to_modal(f).data * np.exp(_gs_symbol(f.grid, p) * t)
+    out = to_modal(f).data * _gs_factor(f.grid, p, t)
     # affine feed acts on the mean mode only
     out[(0,) * (f.grid.dim + 1)] += 1.0 - np.exp(-p.alpha * t)
     return Field(f.grid, out, MODAL)
@@ -300,14 +319,32 @@ def gray_scott_abc_problem(
 
 @_grid_cache
 def _vdp_symbol(grid: TorusGrid, p: VdpParams) -> tuple:
-    # (m11, lap_v, m22, tau, delta): the diagonal of M_k, the diffusive
-    # part lap_v of m22, and the eigenvalues tau +/- delta of M_k
+    # (m11, lap_v, tau, delta, tau + delta, tau - delta, 2 delta, m11 - tau,
+    # m22 - tau): the first diagonal entry of M_k and the diffusive part
+    # lap_v of m22, for the rhs; the eigenvalues tau +/- delta of M_k and
+    # the other t-independent pieces of the flow's factors
     kap2 = _kappa_sq(grid)
     m11 = -p.du * kap2
     lap_v = -p.dv * kap2
     m22 = lap_v + 1.0 / p.eps
     disc = np.asarray(0.25 * (m11 - m22) ** 2 - 1.0 / p.eps, dtype=np.complex128)
-    return m11, lap_v, m22, 0.5 * (m11 + m22), np.sqrt(disc)
+    tau, delta = 0.5 * (m11 + m22), np.sqrt(disc)
+    return m11, lap_v, tau, delta, tau + delta, tau - delta, 2.0 * delta, m11 - tau, m22 - tau
+
+
+@_grid_cache(maxsize=_FLOW_TIMES)
+def _vdp_factors(grid: TorusGrid, p: VdpParams, t: complex) -> tuple:
+    # (e11, e12, e21, e22) of exp(M_k t); e12 = sin_part since m12 = 1
+    _, _, tau, delta, tau_p, tau_m, two_delta, d11, d22 = _vdp_symbol(grid, p)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ep = np.exp(tau_p * t)
+        em = np.exp(tau_m * t)
+        cos_part = 0.5 * (ep + em)
+        dt_small = np.abs(delta * t) < 1e-6
+        series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
+        sin_part = np.where(dt_small, series, (ep - em) / two_delta)
+        return (cos_part + sin_part * d11, sin_part, sin_part * (-1.0 / p.eps),
+                cos_part + sin_part * d22)
 
 
 def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
@@ -320,20 +357,9 @@ def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
     """
     _require_forward(t, "vdp_linear_flow")
     c = to_modal(f).data
-    m11, _, m22, tau, delta = _vdp_symbol(f.grid, p)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ep = np.exp((tau + delta) * t)
-        em = np.exp((tau - delta) * t)
-        cos_part = 0.5 * (ep + em)
-        dt_small = np.abs(delta * t) < 1e-6
-        series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
-        sin_part = np.where(dt_small, series, (ep - em) / (2.0 * delta))
-
-        # e12 = sin_part since m12 = 1
-        e11 = cos_part + sin_part * (m11 - tau)
-        e21 = sin_part * (-1.0 / p.eps)
-        e22 = cos_part + sin_part * (m22 - tau)
-        out = np.stack([e11 * c[0] + sin_part * c[1], e21 * c[0] + e22 * c[1]])
+    e11, e12, e21, e22 = _vdp_factors(f.grid, p, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.stack([e11 * c[0] + e12 * c[1], e21 * c[0] + e22 * c[1]])
     _check_finite(out, "vdp_linear_flow")
     return Field(f.grid, out, MODAL)
 
@@ -370,6 +396,16 @@ def van_der_pol_problem(grid: TorusGrid, params: VdpParams = VdpParams()) -> Spl
 # Linear diagnostic problem
 # ---------------------------------------------------------------------------
 
+@_grid_cache
+def _linear_symbol(grid: TorusGrid, diffusion: float) -> np.ndarray:
+    return -diffusion * _kappa_sq(grid)
+
+
+@_grid_cache(maxsize=_FLOW_TIMES)
+def _linear_factor(grid: TorusGrid, diffusion: float, t: complex) -> np.ndarray:
+    return np.exp(_linear_symbol(grid, diffusion) * t)
+
+
 def linear_problem(
     grid: TorusGrid,
     diffusion: float = 0.5,
@@ -381,7 +417,6 @@ def linear_problem(
     V = 0, in which case A and B commute and any consistent splitting
     reproduces the exact flow of A+B.
     """
-    lam = -diffusion * _kappa_sq(grid)  # symbol of A
     if potential is None:
         vx = np.zeros(grid.shape)
     else:
@@ -389,13 +424,14 @@ def linear_problem(
 
     def flow_a(t, f):
         _require_forward(t, "linear_problem A-flow")
-        return Field(f.grid, to_modal(f).data * np.exp(lam * t), MODAL)
+        return Field(f.grid, to_modal(f).data * _linear_factor(f.grid, diffusion, t), MODAL)
 
     def flow_b(t, f):
         return _nodal(f, "linear_problem B-flow", lambda u: (u * np.exp(vx * t),))
 
     def rhs_a(f):
-        return to_nodal(Field(f.grid, lam * to_modal(f).data, MODAL))
+        return to_nodal(Field(f.grid, _linear_symbol(f.grid, diffusion) * to_modal(f).data,
+                              MODAL))
 
     def rhs_b(f):
         return _nodal(f, "linear_problem B", lambda u: (u * vx,))

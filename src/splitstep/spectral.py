@@ -9,10 +9,13 @@ x_i = -a + 2a*i/n per axis.  Modal coefficients follow
 
 so c_0 is the mean value and u(x) = sum_k c_k exp(i*pi*(k.x)/a).  The
 discrete transform is the FFT with a per-axis phase (-1)^k that accounts
-for the domain starting at -a instead of 0; its ``norm="forward"``
-applies the modal scaling n^-d.  Wavenumbers are integers in the standard
-FFT layout, |k_j| <= n/2 with the Nyquist column at -n/2.  One read-only
-cache, ``_grid_cache``, holds the per-grid arrays that callers share.
+for the domain starting at -a instead of 0; ``norm="forward"`` applies
+the modal scaling, n^-1 per axis and n^-d in all.  The transforms run one
+1D FFT per axis, last axis first: the loop ``np.fft.fftn``/``ifftn`` run,
+bitwise the same, without their per-call argument handling.  Wavenumbers
+are integers in the standard FFT layout, |k_j| <= n/2 with the Nyquist
+column at -n/2.  One read-only cache, ``_grid_cache``, holds the per-grid
+arrays that callers share.
 
 Derivative multipliers are sigma(k) = (i*pi/a)^|alpha| * k^alpha.  Odd
 derivative orders zero the Nyquist column (the cosine mode has no
@@ -29,7 +32,7 @@ then the lines, each ending in a newline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -111,10 +114,17 @@ class TorusGrid:
         return _k_meshes(self)
 
 
-def _grid_cache(fn):
-    """lru_cache per argument tuple; its arrays are shared, so made read-only."""
+def _grid_cache(fn=None, *, maxsize=64):
+    """lru_cache per argument tuple; its arrays are shared, so made read-only.
 
-    @lru_cache(maxsize=64)
+    Typed, so a float and a complex argument of equal value (whose
+    products differ in dtype) get separate entries.  ``@_grid_cache(maxsize=k)``
+    bounds a cache whose keys change as a run goes on.
+    """
+    if fn is None:
+        return partial(_grid_cache, maxsize=maxsize)
+
+    @lru_cache(maxsize=maxsize, typed=True)
     @wraps(fn)
     def cached(*args):
         out = fn(*args)
@@ -218,8 +228,9 @@ def to_modal(f: Field) -> Field:
     """Forward transform; identity if already modal."""
     if f.space == MODAL:
         return f
-    axes = tuple(range(1, f.grid.dim + 1))
-    c = np.fft.fftn(f.data, axes=axes, norm="forward")
+    c = f.data
+    for axis in range(f.grid.dim, 0, -1):
+        c = np.fft.fft(c, axis=axis, norm="forward")
     c *= _shift_phase(f.grid)
     return Field(f.grid, c, MODAL)
 
@@ -228,8 +239,9 @@ def to_nodal(f: Field) -> Field:
     """Inverse transform; identity if already nodal."""
     if f.space == NODAL:
         return f
-    axes = tuple(range(1, f.grid.dim + 1))
-    u = np.fft.ifftn(f.data * _shift_phase(f.grid), axes=axes, norm="forward")
+    u = f.data * _shift_phase(f.grid)
+    for axis in range(f.grid.dim, 0, -1):
+        u = np.fft.ifft(u, axis=axis, norm="forward")
     return Field(f.grid, u, NODAL)
 
 

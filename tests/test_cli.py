@@ -597,6 +597,28 @@ def test_empty_span_bad_substep_or_foreign_problem_key_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, command, cfg, where)
 
 
+@pytest.mark.parametrize(
+    "command, cfg, where",
+    [
+        ("compare", compare_config(tols=[]), "compare.tols"),
+        ("run", gs_config(t_end="nan"), "run.t_end"),
+        ("run", gs_config(t_end="inf"), "run.t_end"),
+        ("run", gs_config(mode="fixed", scheme="lie", h=0.1, t_end="nan"), "run.t_end"),
+        ("run", gs_config(mode="fixed", scheme="lie", h=0.1, t_end="inf"), "run.t_end"),
+        ("run", gs_config(mode="fixed", scheme="lie", h=0.1, t_end=10**400), "run.t_end"),
+        ("run", gs_config(t0="-inf"), "run.t0"),
+        ("converge", converge_config(t_end="inf"), "converge.t_end"),
+        ("converge", converge_config(t0="nan"), "converge.t0"),
+        ("compare", compare_config(t_end="inf"), "compare.t_end"),
+        ("compare", compare_config(t0="-inf", calibrate=False), "compare.t0"),
+    ],
+)
+def test_empty_tols_or_non_finite_span_end_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, cfg, where):
+    test_malformed_config_value_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, cfg, where)
+
+
 @pytest.mark.parametrize("run", [{}, {"mode": "fixed", "scheme": "lie", "h": 0.1}])
 def test_run_over_an_empty_span_is_a_no_op(tmp_path, capsys, run):
     cfg = write_cfg(tmp_path, gs_config(t0=0.3, **run))

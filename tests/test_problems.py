@@ -22,6 +22,8 @@ from splitstep import (
     UnderResolvedWarning,
     UnstableStepError,
     VdpParams,
+    builtin_registry,
+    compose_step,
     gray_scott_abc_problem,
     gray_scott_problem,
     gs_commutator,
@@ -33,6 +35,14 @@ from splitstep import (
     van_der_pol_problem,
 )
 from splitstep.problems import (
+    _FLOW_TIMES,
+    _gs_factor,
+    _gs_symbol,
+    _kappa_sq,
+    _linear_factor,
+    _linear_symbol,
+    _vdp_factors,
+    _vdp_symbol,
     gs_linear_flow,
     gs_reaction_b_flow,
     gs_reaction_c_flow,
@@ -268,6 +278,156 @@ def test_symbol_caches_are_keyed_by_grid_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# flow factor caches: per (grid, params, t), bounded, read-only
+# ---------------------------------------------------------------------------
+
+VDP = VdpParams(eps=0.1)
+
+
+def gs_flow_inline(t, f, p):
+    out = to_modal(f).data * np.exp(_gs_symbol(f.grid, p) * t)
+    out[(0,) * (f.grid.dim + 1)] += 1.0 - np.exp(-p.alpha * t)
+    return out
+
+
+def vdp_flow_inline(t, f, p):
+    # the per-call formula the cached factors replace, kept as the reference
+    c = to_modal(f).data
+    kap2 = _kappa_sq(f.grid)
+    m11 = -p.du * kap2
+    lap_v = -p.dv * kap2
+    m22 = lap_v + 1.0 / p.eps
+    disc = np.asarray(0.25 * (m11 - m22) ** 2 - 1.0 / p.eps, dtype=np.complex128)
+    tau, delta = 0.5 * (m11 + m22), np.sqrt(disc)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ep = np.exp((tau + delta) * t)
+        em = np.exp((tau - delta) * t)
+        cos_part = 0.5 * (ep + em)
+        dt_small = np.abs(delta * t) < 1e-6
+        series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
+        sin_part = np.where(dt_small, series, (ep - em) / (2.0 * delta))
+        e11 = cos_part + sin_part * (m11 - tau)
+        e21 = sin_part * (-1.0 / p.eps)
+        e22 = cos_part + sin_part * (m22 - tau)
+        return np.stack([e11 * c[0] + sin_part * c[1], e21 * c[0] + e22 * c[1]])
+
+
+def linear_flow_inline(t, f, diffusion):
+    lam = -diffusion * _kappa_sq(f.grid)
+    return to_modal(f).data * np.exp(lam * t)
+
+
+# (flow, its inline formula, its factor cache, factor arguments after the grid)
+MODAL_FLOWS = {
+    "gs": (lambda t, f: gs_linear_flow(t, f, GS), lambda t, f: gs_flow_inline(t, f, GS),
+           _gs_factor, (GS,)),
+    "vdp": (lambda t, f: vdp_linear_flow(t, f, VDP), lambda t, f: vdp_flow_inline(t, f, VDP),
+            _vdp_factors, (VDP,)),
+    "linear": (lambda t, f: linear_problem(f.grid, diffusion=0.2).flows[0](t, f),
+               lambda t, f: linear_flow_inline(t, f, 0.2), _linear_factor, (0.2,)),
+}
+ALL_CACHES = (_kappa_sq, _gs_symbol, _vdp_symbol, _linear_symbol,
+              _gs_factor, _vdp_factors, _linear_factor)
+
+
+def clear_caches():
+    for cache in ALL_CACHES:
+        cache.cache_clear()
+
+
+def modal_state(name, grid, seed):
+    # the linear problem has one component, the others two
+    return Field(grid, random_states(grid, 1, seed)[0][:1 if name == "linear" else 2])
+
+
+@pytest.mark.parametrize("name", MODAL_FLOWS)
+def test_modal_flow_is_bitwise_its_inline_formula(name):
+    flow, inline, _, _ = MODAL_FLOWS[name]
+    grid_a, grid_b = TorusGrid(1, 1.0, 16), TorusGrid(1, 2.0, 16)
+    states = {g: modal_state(name, g, seed=16) for g in (grid_a, grid_b)}
+    times = (0.01, 0.01 + 0.005j)
+    want = {}
+    for t in times:
+        for g in (grid_a, grid_b):
+            clear_caches()
+            want[t, g] = inline(t, states[g])
+    clear_caches()
+    # no clearing from here on: every call after the first per (grid, t)
+    # is served from the caches, and a t or grid missing from a cache key
+    # hands one call another's factors
+    for t in times:
+        for g in (grid_a, grid_b, grid_a):
+            got = flow(t, states[g]).data
+            assert got.dtype == want[t, g].dtype
+            assert np.array_equal(got, want[t, g]), (t, g)
+
+
+@pytest.mark.parametrize("name", MODAL_FLOWS)
+def test_cached_factors_refuse_writes(name):
+    _, _, cache, args = MODAL_FLOWS[name]
+    out = cache(GRID1, *args, 0.01 + 0.002j)
+    for arr in out if isinstance(out, tuple) else (out,):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+@pytest.mark.parametrize("name", MODAL_FLOWS)
+def test_factor_cache_holds_at_most_flow_times_entries(name):
+    flow, _, cache, _ = MODAL_FLOWS[name]
+    f0 = modal_state(name, GRID1, seed=17)
+    clear_caches()
+    for i in range(1, 6):
+        flow(0.01 * i, f0)
+    assert cache.cache_info().maxsize == _FLOW_TIMES == 3
+    assert cache.cache_info().currsize == 3
+
+
+@pytest.mark.parametrize("name", MODAL_FLOWS)
+def test_float_and_complex_t_of_equal_value_do_not_share_an_entry(name):
+    _, _, cache, args = MODAL_FLOWS[name]
+    clear_caches()
+    real = cache(GRID1, *args, 0.01)
+    cplx = cache(GRID1, *args, complex(0.01))
+    assert cache.cache_info().currsize == 2
+    if name != "vdp":  # the vdp factors are complex for either t
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+
+
+@pytest.mark.parametrize("name", MODAL_FLOWS)
+def test_refused_time_leaves_the_factor_cache_untouched(name):
+    flow, _, cache, _ = MODAL_FLOWS[name]
+    f0 = modal_state(name, GRID1, seed=18)
+    clear_caches()
+    flow(0.01, f0)
+    before = cache.cache_info()
+    for t in (-1e-3, -1e-3 + 0.5j):
+        with pytest.raises(UnstableStepError):
+            flow(t, f0)
+    assert cache.cache_info() == before
+
+
+@pytest.mark.parametrize("scheme", sorted(builtin_registry().schemes))
+def test_second_fixed_step_finds_every_a_factor_cached(scheme):
+    # a fixed-step run repeats every A-time of the step on the next one;
+    # the cache must hold all of them (comp3c and emb2c have three)
+    scheme = builtin_registry().scheme(scheme)
+    grid = TorusGrid(1, 1.0, 16)
+    make = gray_scott_problem if scheme.arity == 2 else gray_scott_abc_problem
+    prob = make(grid, GS)
+    f = Field(grid, random_states(grid, 1, seed=19)[0])
+    a_flows = sum(1 for slot, _ in scheme.word() if slot == 0)
+    clear_caches()
+    f = compose_step(scheme, prob, 0.02, f)
+    times = _gs_factor.cache_info().misses
+    assert times <= _FLOW_TIMES
+    compose_step(scheme, prob, 0.02, f)
+    info = _gs_factor.cache_info()
+    assert info.misses == times
+    assert info.hits == (a_flows - times) + a_flows
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,21 @@ def test_transforms_equal_the_explicitly_scaled_fft_bitwise(dim, n):
     assert np.array_equal(to_nodal(c).data, want_nodal)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 128), (1, 1024), (2, 64), (2, 128), (3, 32)])
+def test_per_axis_transforms_equal_fftn_and_ifftn_bitwise(dim, n):
+    # the transforms loop np.fft.fft/ifft over the axes; fftn/ifftn with the
+    # same norm are the reference, scaled per axis
+    grid = TorusGrid(dim, 1.3, n)
+    f = random_field(grid, m=2, seed=n + 7 * dim)
+    axes = tuple(range(1, dim + 1))
+    phase = _phase(grid)
+    want_modal = np.fft.fftn(f.data, axes=axes, norm="forward") * phase
+    assert np.array_equal(to_modal(f).data, want_modal)
+    c = Field(grid, f.data, "modal")
+    want_nodal = np.fft.ifftn(c.data * phase, axes=axes, norm="forward")
+    assert np.array_equal(to_nodal(c).data, want_nodal)
+
+
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
 def test_laplacian_symbol_is_fresh_and_bitwise_the_formula(grid):
     k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
