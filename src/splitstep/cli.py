@@ -48,7 +48,7 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import TorusGrid, _write_lines, write_field
+from .spectral import Field, TorusGrid, _write_lines, write_field
 
 __all__ = ["main"]
 
@@ -223,6 +223,10 @@ def _build_problem(cfg: dict, seed=None):
         raise ConfigError(f"problem block: {exc}") from exc
     if f0.m != prob.m:
         raise ConfigError(f"initial condition has {f0.m} components, problem needs {prob.m}")
+    if not f0.data.imag.any():
+        # a real initial state runs in the real layout (float64 samples, half
+        # spectra) for as long as the words applied to it are real
+        f0 = Field._of(grid, f0.data.real.copy(), f0.space)
     return prob, f0
 
 

@@ -138,10 +138,10 @@ def next_step_size(h: float, est: float, cfg: StepControlConfig, p: Optional[int
 
 def _finish(state: Field, cfg: StepControlConfig) -> Field:
     if cfg.project_real:
-        # project in physical space; zeroing modal imaginary parts would
-        # break the Hermitian symmetry of real fields instead
+        # project in physical space, onto the real layout; zeroing modal
+        # imaginary parts would break the Hermitian symmetry of real fields
         nod = to_nodal(state)
-        return Field(nod.grid, nod.data.real.astype(np.complex128), nod.space)
+        return nod if nod.is_real else Field._of(nod.grid, nod.data.real.copy(), nod.space)
     return state
 
 

@@ -87,7 +87,7 @@ class FixedSolves:
             out, _ = integrate_fixed(self.prob, scheme, self.f0, t0, t_end, h)
             data = out.data.view()
             data.flags.writeable = False
-            state = self._states[key] = Field(out.grid, data, out.space)
+            state = self._states[key] = Field._of(out.grid, data, out.space)
         return state
 
 

@@ -65,8 +65,8 @@ def _match_space(ref: Field, other: Field) -> Field:
 
 
 def _combine(ca, fa: Field, cb, fb: Field) -> Field:
-    fb = _match_space(fa, fb)
-    return Field(fa.grid, ca * fa.data + cb * fb.data, fa.space)
+    # Field arithmetic widens a real operand to meet a complex one or a complex weight
+    return fa * ca + _match_space(fa, fb) * cb
 
 
 def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,

@@ -24,20 +24,31 @@ Diffusive flows refuse Re(t) < 0, which would amplify high modes.
 
 Each operator's math is written once.  Pointwise operators are kernels
 over the nodal components, which ``_nodal`` alone converts, stacks,
-checks (overflow is a BlowUpError) and dealiases.  Modal operators share
-their symbol per (grid, params) between flow and rhs: ``_gs_symbol``,
-``_vdp_symbol`` and ``_linear_symbol``, over ``spectral._kappa_sq``, are
-cached read-only through ``spectral._grid_cache``.
+checks (overflow is a BlowUpError) and dealiases.  Modal operators are
+per-mode kernels over the modal components, which ``_modal`` alone
+converts and wraps; for a flow it also refuses Re(t) < 0 and widens a
+real state to the complex layout when t is complex.  A real state under
+a float t stays real: the nodal kernels run in float64 and the modal ones
+on the half spectrum (see ``spectral``).
 
-A modal flow only applies its factors exp(symbol * t), which
-``_gs_factor``, ``_vdp_factors`` and ``_linear_factor`` build and cache,
-read-only, per (grid, params, t).  The same t recurs within a step (an
-estimator's second word repeats the integrator's A-times) and on every
-step of a fixed-step run.  Each cache keeps ``_FLOW_TIMES`` = 3 entries,
-the most distinct A-times a built-in scheme has in one step (``comp3c``
-and ``emb2c``): two would thrash on ``comp3c``'s three, and more would
-only hold more field-sized factors on 2D and 3D grids.  A refused t
-(Re(t) < 0) never reaches a cache.
+Modal operators share their symbol per (grid, params, layout) between
+flow and rhs: ``_gs_symbol``, ``_vdp_symbol`` and ``_linear_symbol``, over
+``spectral._kappa_sq``, are cached read-only through
+``spectral._grid_cache``.  A modal flow only applies its factors
+exp(symbol * t), which ``_gs_factor``, ``_vdp_factors`` and
+``_linear_factor`` build and cache, read-only, per (grid, params, t,
+layout); a float t gives real factors in the half layout.  The same t
+recurs within a step (an estimator's second word repeats the
+integrator's A-times) and on every step of a fixed-step run.  Each cache
+keeps ``_FLOW_TIMES`` = 3 entries, the most distinct A-times a built-in
+scheme has in one step (``comp3c`` and ``emb2c``): two would thrash on
+``comp3c``'s three, and more would only hold more field-sized factors on
+2D and 3D grids.  A refused t (Re(t) < 0) never reaches a cache.
+
+Only the van der Pol A-flow checks its result for overflow: its 2x2
+factors grow like exp(t/eps).  The Gray-Scott and linear A-factors have
+modulus at most 1 for Re(t) >= 0 and the feed is bounded, so a finite
+state stays finite and a check there would only cost time.
 """
 
 from __future__ import annotations
@@ -58,6 +69,7 @@ from .spectral import (
     _grid_cache,
     _k_abs1,
     _kappa_sq,
+    _widen,
     dealias_23,
     modal_tail_fraction,
     to_modal,
@@ -149,8 +161,36 @@ def _nodal(f: Field, what: str, kernel, *args, dealias: bool = False) -> Field:
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.stack(kernel(*comps, *args))
     _check_finite(out, what)
-    res = Field(f.grid, out, NODAL)
+    res = Field._of(f.grid, out, NODAL)
     return dealias_23(res) if dealias else res
+
+
+def _modal(f: Field, what: str, kernel, table, *key, t=None, check: bool = False) -> Field:
+    """Apply a per-mode kernel to the modal components of ``f``.
+
+    ``kernel(c, tab, *key)`` returns the new modal data from the modal
+    data ``c`` and ``tab = table(grid, *key, half)``, in the layout of
+    ``c`` (``half`` for a real state).  A right-hand side passes no ``t``
+    and gets its nodal values back.  A flow passes ``t`` (appended to
+    ``key``) and gets the modal field: Re(t) < 0 is refused before the
+    table lookup, and a complex t first widens a real state.  ``check``
+    makes overflow a BlowUpError naming ``what``.
+    """
+    if t is not None:
+        _require_forward(t, what)
+        if isinstance(t, complex):
+            f = _widen(f)
+        key += (t,)
+    c = to_modal(f)
+    tab = table(f.grid, *key, c.is_real)
+    if check:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = kernel(c.data, tab, *key)
+        _check_finite(out, what)
+    else:
+        out = kernel(c.data, tab, *key)
+    res = Field._of(f.grid, out, MODAL)
+    return res if t is not None else to_nodal(res)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +198,23 @@ def _nodal(f: Field, what: str, kernel, *args, dealias: bool = False) -> Field:
 # ---------------------------------------------------------------------------
 
 @_grid_cache
-def _gs_symbol(grid: TorusGrid, p: GrayScottParams) -> np.ndarray:
+def _gs_symbol(grid: TorusGrid, p: GrayScottParams, half: bool = False) -> np.ndarray:
     # per-mode rates (lambda_u, lambda_v) of A, stacked like the components
-    ksq = _kappa_sq(grid)
+    ksq = _kappa_sq(grid, half)
     return np.stack([-p.c1 * ksq - p.alpha, -p.c2 * ksq - p.beta])
 
 
 @_grid_cache(maxsize=_FLOW_TIMES)
-def _gs_factor(grid: TorusGrid, p: GrayScottParams, t: complex) -> np.ndarray:
-    return np.exp(_gs_symbol(grid, p) * t)
+def _gs_factor(grid: TorusGrid, p: GrayScottParams, t: complex,
+               half: bool = False) -> np.ndarray:
+    return np.exp(_gs_symbol(grid, p, half) * t)
+
+
+def _gs_flow_kernel(c, factor, p, t):
+    out = c * factor
+    # affine feed acts on the mean mode only
+    out[(0,) * c.ndim] += 1.0 - np.exp(-p.alpha * t)
+    return out
 
 
 def gs_linear_flow(t: complex, f: Field, p: GrayScottParams) -> Field:
@@ -175,17 +223,17 @@ def gs_linear_flow(t: complex, f: Field, p: GrayScottParams) -> Field:
     Diagonal per mode; the mean of u relaxes toward 1 along
     u0 <- 1 + (u0 - 1)*exp(-alpha*t).
     """
-    _require_forward(t, "gs_linear_flow")
-    out = to_modal(f).data * _gs_factor(f.grid, p, t)
-    # affine feed acts on the mean mode only
-    out[(0,) * (f.grid.dim + 1)] += 1.0 - np.exp(-p.alpha * t)
-    return Field(f.grid, out, MODAL)
+    return _modal(f, "gs_linear_flow", _gs_flow_kernel, _gs_factor, p, t=t)
+
+
+def _gs_rhs_kernel(c, sym, p):
+    out = sym * c
+    out[(0,) * c.ndim] += p.alpha
+    return out
 
 
 def _gs_rhs_a(f: Field, p: GrayScottParams) -> Field:
-    out = _gs_symbol(f.grid, p) * to_modal(f).data
-    out[(0,) * (f.grid.dim + 1)] += p.alpha
-    return to_nodal(Field(f.grid, out, MODAL))
+    return _modal(f, "gray_scott A", _gs_rhs_kernel, _gs_symbol, p)
 
 
 def _gs_reaction_terms(u, v):
@@ -318,12 +366,12 @@ def gray_scott_abc_problem(
 # ---------------------------------------------------------------------------
 
 @_grid_cache
-def _vdp_symbol(grid: TorusGrid, p: VdpParams) -> tuple:
+def _vdp_symbol(grid: TorusGrid, p: VdpParams, half: bool = False) -> tuple:
     # (m11, lap_v, tau, delta, tau + delta, tau - delta, 2 delta, m11 - tau,
     # m22 - tau): the first diagonal entry of M_k and the diffusive part
     # lap_v of m22, for the rhs; the eigenvalues tau +/- delta of M_k and
     # the other t-independent pieces of the flow's factors
-    kap2 = _kappa_sq(grid)
+    kap2 = _kappa_sq(grid, half)
     m11 = -p.du * kap2
     lap_v = -p.dv * kap2
     m22 = lap_v + 1.0 / p.eps
@@ -333,9 +381,10 @@ def _vdp_symbol(grid: TorusGrid, p: VdpParams) -> tuple:
 
 
 @_grid_cache(maxsize=_FLOW_TIMES)
-def _vdp_factors(grid: TorusGrid, p: VdpParams, t: complex) -> tuple:
-    # (e11, e12, e21, e22) of exp(M_k t); e12 = sin_part since m12 = 1
-    _, _, tau, delta, tau_p, tau_m, two_delta, d11, d22 = _vdp_symbol(grid, p)
+def _vdp_factors(grid: TorusGrid, p: VdpParams, t: complex, half: bool = False) -> tuple:
+    # (e11, e12, e21, e22) of exp(M_k t); e12 = sin_part since m12 = 1.  The
+    # half layout takes a float t, for which exp(M_k t) is real: keep that part
+    _, _, tau, delta, tau_p, tau_m, two_delta, d11, d22 = _vdp_symbol(grid, p, half)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ep = np.exp(tau_p * t)
         em = np.exp(tau_m * t)
@@ -343,8 +392,16 @@ def _vdp_factors(grid: TorusGrid, p: VdpParams, t: complex) -> tuple:
         dt_small = np.abs(delta * t) < 1e-6
         series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
         sin_part = np.where(dt_small, series, (ep - em) / two_delta)
-        return (cos_part + sin_part * d11, sin_part, sin_part * (-1.0 / p.eps),
-                cos_part + sin_part * d22)
+        out = (cos_part + sin_part * d11, sin_part, sin_part * (-1.0 / p.eps),
+               cos_part + sin_part * d22)
+    # a list, not a generator: tuple(generator) bypasses the 4-tuple free list,
+    # which then grows by one tuple per call up to its cap (about 140 KB)
+    return tuple([e.real.copy() for e in out]) if half else out
+
+
+def _vdp_flow_kernel(c, factors, p, t):
+    e11, e12, e21, e22 = factors
+    return np.stack([e11 * c[0] + e12 * c[1], e21 * c[0] + e22 * c[1]])
 
 
 def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
@@ -355,13 +412,12 @@ def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
     eigenvalue pair tau +/- delta with a series fallback when delta*t is
     tiny (defective or near-defective mode).
     """
-    _require_forward(t, "vdp_linear_flow")
-    c = to_modal(f).data
-    e11, e12, e21, e22 = _vdp_factors(f.grid, p, t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.stack([e11 * c[0] + e12 * c[1], e21 * c[0] + e22 * c[1]])
-    _check_finite(out, "vdp_linear_flow")
-    return Field(f.grid, out, MODAL)
+    return _modal(f, "vdp_linear_flow", _vdp_flow_kernel, _vdp_factors, p, t=t, check=True)
+
+
+def _vdp_rhs_kernel(c, sym, p):
+    m11, lap_v = sym[:2]
+    return np.stack([m11 * c[0] + c[1], lap_v * c[1] + (c[1] - c[0]) / p.eps])
 
 
 def vdp_reaction_flow(t: complex, f: Field, p: VdpParams) -> Field:
@@ -375,10 +431,7 @@ def van_der_pol_problem(grid: TorusGrid, params: VdpParams = VdpParams()) -> Spl
     """Two-operator split of the van der Pol reaction-diffusion system."""
 
     def rhs_a(f):
-        c = to_modal(f).data
-        m11, lap_v = _vdp_symbol(f.grid, params)[:2]
-        out = np.stack([m11 * c[0] + c[1], lap_v * c[1] + (c[1] - c[0]) / params.eps])
-        return to_nodal(Field(f.grid, out, MODAL))
+        return _modal(f, "van_der_pol A", _vdp_rhs_kernel, _vdp_symbol, params)
 
     def rhs_b(f):
         return _nodal(f, "van_der_pol B",
@@ -397,13 +450,18 @@ def van_der_pol_problem(grid: TorusGrid, params: VdpParams = VdpParams()) -> Spl
 # ---------------------------------------------------------------------------
 
 @_grid_cache
-def _linear_symbol(grid: TorusGrid, diffusion: float) -> np.ndarray:
-    return -diffusion * _kappa_sq(grid)
+def _linear_symbol(grid: TorusGrid, diffusion: float, half: bool = False) -> np.ndarray:
+    return -diffusion * _kappa_sq(grid, half)
 
 
 @_grid_cache(maxsize=_FLOW_TIMES)
-def _linear_factor(grid: TorusGrid, diffusion: float, t: complex) -> np.ndarray:
-    return np.exp(_linear_symbol(grid, diffusion) * t)
+def _linear_factor(grid: TorusGrid, diffusion: float, t: complex,
+                   half: bool = False) -> np.ndarray:
+    return np.exp(_linear_symbol(grid, diffusion, half) * t)
+
+
+def _linear_kernel(c, tab, *key):
+    return c * tab
 
 
 def linear_problem(
@@ -423,15 +481,13 @@ def linear_problem(
         vx = np.asarray(potential(*grid.meshes()), dtype=np.float64)
 
     def flow_a(t, f):
-        _require_forward(t, "linear_problem A-flow")
-        return Field(f.grid, to_modal(f).data * _linear_factor(f.grid, diffusion, t), MODAL)
+        return _modal(f, "linear_problem A-flow", _linear_kernel, _linear_factor, diffusion, t=t)
 
     def flow_b(t, f):
         return _nodal(f, "linear_problem B-flow", lambda u: (u * np.exp(vx * t),))
 
     def rhs_a(f):
-        return to_nodal(Field(f.grid, _linear_symbol(f.grid, diffusion) * to_modal(f).data,
-                              MODAL))
+        return _modal(f, "linear_problem A", _linear_kernel, _linear_symbol, diffusion)
 
     def rhs_b(f):
         return _nodal(f, "linear_problem B", lambda u: (u * vx,))

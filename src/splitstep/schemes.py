@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -164,8 +165,23 @@ def is_self_adjoint(scheme: SplittingScheme) -> bool:
     return adjoint(scheme).stages == scheme.stages
 
 
+@lru_cache(maxsize=64)
+def _real_letters(word) -> Optional[tuple]:
+    """The word with float coefficients if every one is real, else None."""
+    if any(c.imag != 0 for _, c in word):
+        return None
+    return tuple((slot, c.real) for slot, c in word)
+
+
 def apply_word(word, prob: SplitProblem, h: complex, f: Field):
-    """Apply a (slot, coeff) word with step h; returns (state, flow_evals)."""
+    """Apply a (slot, coeff) word with step h; returns (state, flow_evals).
+
+    A real state (``Field.is_real``) under a word whose coefficients and h
+    are all real stays real: every flow gets a float time.  Otherwise the
+    times are complex, and the first flow widens a real state.
+    """
+    if f.is_real and not isinstance(h, complex):
+        word = _real_letters(word) or word
     n_evals = 0
     for slot, c in word:
         t = c * h

@@ -13,9 +13,26 @@ for the domain starting at -a instead of 0; ``norm="forward"`` applies
 the modal scaling, n^-1 per axis and n^-d in all.  The transforms run one
 1D FFT per axis, last axis first: the loop ``np.fft.fftn``/``ifftn`` run,
 bitwise the same, without their per-call argument handling.  Wavenumbers
-are integers in the standard FFT layout, |k_j| <= n/2 with the Nyquist
-column at -n/2.  One read-only cache, ``_grid_cache``, holds the per-grid
-arrays that callers share.
+are integers.  One read-only cache, ``_grid_cache``, holds the per-grid
+arrays that callers share, keyed on the grid and the layout.
+
+Two layouts
+-----------
+* Complex: complex128 nodal samples, and the full spectrum in the
+  standard FFT layout, |k_j| <= n/2 with the Nyquist column at -n/2.
+  ``Field(grid, data)`` always makes this layout.
+* Real: float64 nodal samples, and their Hermitian half spectrum
+  (``np.fft.rfft`` on the last axis, then ``fft`` on the others; the last
+  axis holds k = 0..n/2, so its Nyquist column sits at +n/2).  Only the
+  library makes it, through ``Field._of``; ``Field.is_real`` tells them
+  apart.  A mode with 0 < k_last < n/2 stands for its conjugate twin too,
+  so sums of |c_k|^2 (``sobolev_norm``, ``modal_tail_fraction``) weight
+  it twice.
+
+Every operation keeps a real field real where the result is real, and
+otherwise widens it to the complex layout first (``_widen``: nodal data by
+``astype``, a half spectrum by Hermitian expansion, no FFT).  Arithmetic
+between the two layouts widens the real operand.
 
 Derivative multipliers are sigma(k) = (i*pi/a)^|alpha| * k^alpha.  Odd
 derivative orders zero the Nyquist column (the cosine mode has no
@@ -136,42 +153,65 @@ def _grid_cache(fn=None, *, maxsize=64):
 
 
 @_grid_cache
-def _k_meshes(grid: TorusGrid) -> tuple:
+def _k_meshes(grid: TorusGrid, half: bool = False) -> tuple:
     k1 = np.fft.fftfreq(grid.n, d=1.0 / grid.n)  # integers as float64
-    return tuple(np.meshgrid(*([k1] * grid.dim), indexing="ij"))
+    axes = [k1] * grid.dim
+    if half:
+        axes[-1] = np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
+    return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
 @_grid_cache
-def _k_abs1(grid: TorusGrid) -> np.ndarray:
+def _k_abs1(grid: TorusGrid, half: bool = False) -> np.ndarray:
     # 1-norm |k| used by the Sobolev weight
-    return sum(np.abs(k) for k in _k_meshes(grid))
+    return sum(np.abs(k) for k in _k_meshes(grid, half))
 
 
 @_grid_cache
-def _kappa_sq(grid: TorusGrid) -> np.ndarray:
+def _kappa_sq(grid: TorusGrid, half: bool = False) -> np.ndarray:
     # (pi/a)^2 * sum k_j^2: minus the Laplacian's multiplier
-    return sum(k * k for k in _k_meshes(grid)) * (np.pi / grid.a) ** 2
+    return sum(k * k for k in _k_meshes(grid, half)) * (np.pi / grid.a) ** 2
 
 
 @_grid_cache
-def _shift_phase(grid: TorusGrid) -> np.ndarray:
+def _shift_phase(grid: TorusGrid, half: bool = False) -> np.ndarray:
     # (-1)^(k_1+...+k_d): compensates the grid origin at -a
-    par = sum(np.asarray(k, dtype=np.int64) for k in _k_meshes(grid)) & 1
+    par = sum(np.asarray(k, dtype=np.int64) for k in _k_meshes(grid, half)) & 1
     return np.where(par == 0, 1.0, -1.0)
 
 
 @_grid_cache
-def _dealias_keep(grid: TorusGrid) -> np.ndarray:
+def _dealias_keep(grid: TorusGrid, half: bool = False) -> np.ndarray:
     # True where every |k_j| <= n/3 (2/3 rule)
-    return np.all([np.abs(k) <= grid.n / 3.0 for k in _k_meshes(grid)], axis=0)
+    return np.all([np.abs(k) <= grid.n / 3.0 for k in _k_meshes(grid, half)], axis=0)
+
+
+@_grid_cache
+def _twins(grid: TorusGrid, half: bool) -> np.ndarray:
+    # modes each coefficient stands for: 2 where 0 < k_last < n/2 in the half spectrum
+    k = _k_meshes(grid, half)[-1]
+    return np.where(half & (k > 0) & (k < grid.n / 2.0), 2.0, 1.0)
+
+
+@_grid_cache
+def _sobolev_weight(grid: TorusGrid, s: float, half: bool) -> np.ndarray:
+    # (1 + |k|^(2s)) per coefficient, 1 for s = 0, times its twin count
+    w = 1.0 + _k_abs1(grid, half) ** (2.0 * s) if s else 1.0
+    return w * _twins(grid, half)
+
+
+def _abs2(data: np.ndarray) -> np.ndarray:
+    return data * data if data.dtype == np.float64 else data.real**2 + data.imag**2
 
 
 class Field:
-    """State with ``m`` complex components on a :class:`TorusGrid`.
+    """State with ``m`` components on a :class:`TorusGrid`.
 
-    ``data`` has shape ``(m,) + grid.shape`` and dtype complex128; the
-    ``space`` tag records whether the values are nodal samples or modal
-    coefficients.  Linear arithmetic requires matching grid and space.
+    ``data`` has shape ``(m,) + grid.shape`` and dtype complex128 (the
+    complex layout), or is the library's real layout: see the module
+    docstring.  The ``space`` tag records whether the values are nodal
+    samples or modal coefficients.  Linear arithmetic requires matching
+    grid and space, and widens a real operand to meet a complex one.
     """
 
     __slots__ = ("grid", "data", "space")
@@ -190,12 +230,28 @@ class Field:
         self.data = data
         self.space = space
 
+    @classmethod
+    def _of(cls, grid: TorusGrid, data: np.ndarray, space: str) -> "Field":
+        """A field on an array the library made itself, in either layout: no conversion or check."""
+        f = object.__new__(cls)
+        f.grid = grid
+        f.data = data
+        f.space = space
+        return f
+
     @property
     def m(self) -> int:
         return self.data.shape[0]
 
+    @property
+    def is_real(self) -> bool:
+        """True in the real layout: float64 samples or a Hermitian half spectrum."""
+        if self.space == NODAL:
+            return self.data.dtype == np.float64
+        return self.data.shape[-1] != self.grid.n
+
     def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy(), self.space)
+        return Field._of(self.grid, self.data.copy(), self.space)
 
     def _check_compat(self, other: "Field"):
         if self.grid != other.grid:
@@ -207,16 +263,29 @@ class Field:
         if self.m != other.m:
             raise RepresentationError(f"component mismatch: {self.m} vs {other.m}")
 
-    def __add__(self, other: "Field") -> "Field":
+    def _common(self, other: "Field") -> tuple:
         self._check_compat(other)
-        return Field(self.grid, self.data + other.data, self.space)
+        if self.is_real == other.is_real:
+            return self, other
+        return _widen(self), _widen(other)
+
+    def __add__(self, other: "Field") -> "Field":
+        a, b = self._common(other)
+        return Field._of(a.grid, a.data + b.data, a.space)
 
     def __sub__(self, other: "Field") -> "Field":
-        self._check_compat(other)
-        return Field(self.grid, self.data - other.data, self.space)
+        a, b = self._common(other)
+        return Field._of(a.grid, a.data - b.data, a.space)
 
     def __mul__(self, scalar) -> "Field":
-        return Field(self.grid, self.data * scalar, self.space)
+        f = self
+        if isinstance(scalar, complex) and f.is_real:
+            # a real factor keeps the layout; any other widens it
+            if scalar.imag == 0:
+                scalar = scalar.real
+            else:
+                f = _widen(f)
+        return Field._of(f.grid, f.data * scalar, f.space)
 
     __rmul__ = __mul__
 
@@ -224,51 +293,90 @@ class Field:
         return f"Field(m={self.m}, grid=({self.grid.dim}d, n={self.grid.n}), {self.space})"
 
 
+def _negated_k(a: np.ndarray, axes) -> np.ndarray:
+    # the entries at wavenumber -k along ``axes``: index i -> -i mod n
+    return np.roll(np.flip(a, axes), 1, axes) if axes else a
+
+
+def _widen(f: Field) -> Field:
+    """The complex layout of ``f``: nodal samples cast to complex128, a half
+    spectrum expanded by Hermitian symmetry (no transform); ``f`` if complex."""
+    if not f.is_real:
+        return f
+    if f.space == NODAL:
+        return Field._of(f.grid, f.data.astype(np.complex128), NODAL)
+    c = f.data
+    # full columns n/2+1 .. n-1 are the conjugates of columns n/2-1 .. 1 at -k
+    tail = _negated_k(np.conj(c[..., f.grid.n // 2 - 1:0:-1]), tuple(range(1, f.grid.dim)))
+    return Field._of(f.grid, np.concatenate([c, tail], axis=-1), MODAL)
+
+
 def to_modal(f: Field) -> Field:
     """Forward transform; identity if already modal."""
     if f.space == MODAL:
         return f
     c = f.data
-    for axis in range(f.grid.dim, 0, -1):
+    dim = f.grid.dim
+    half = f.is_real
+    if half:
+        c = np.fft.rfft(c, axis=dim, norm="forward")
+        dim -= 1
+    for axis in range(dim, 0, -1):
         c = np.fft.fft(c, axis=axis, norm="forward")
-    c *= _shift_phase(f.grid)
-    return Field(f.grid, c, MODAL)
+    c *= _shift_phase(f.grid, half)
+    return Field._of(f.grid, c, MODAL)
 
 
 def to_nodal(f: Field) -> Field:
     """Inverse transform; identity if already nodal."""
     if f.space == NODAL:
         return f
-    u = f.data * _shift_phase(f.grid)
-    for axis in range(f.grid.dim, 0, -1):
+    dim = f.grid.dim
+    half = f.is_real
+    u = f.data * _shift_phase(f.grid, half)
+    for axis in range(dim - half, 0, -1):
         u = np.fft.ifft(u, axis=axis, norm="forward")
-    return Field(f.grid, u, NODAL)
+    if half:
+        u = np.fft.irfft(u, n=f.grid.n, axis=dim, norm="forward")
+    return Field._of(f.grid, u, NODAL)
 
 
 def apply_symbol(f: Field, sigma) -> Field:
     """Multiply each modal coefficient by sigma(k).
 
-    ``sigma`` is called once with the integer wavenumber meshes (one
-    argument per axis) and must return a broadcastable multiplier array.
-    The meshes are shared and read-only.  The input must be modal.
+    ``sigma`` is called once with the integer wavenumber meshes of the
+    full spectrum (one argument per axis) and must return a broadcastable
+    multiplier array.  The meshes are shared and read-only.  The input
+    must be modal.  A half spectrum stays half when the multiplier keeps
+    real fields real (sigma(-k) = conj(sigma(k)) on the grid, so real at
+    each Nyquist column) and is widened to the full spectrum otherwise.
     """
     if f.space != MODAL:
         raise RepresentationError("apply_symbol requires a modal field")
-    mult = np.asarray(sigma(*_k_meshes(f.grid)))
-    return Field(f.grid, f.data * mult, MODAL)
+    mult = np.asarray(sigma(*_k_meshes(f.grid, False)))
+    if f.is_real:
+        full = np.broadcast_to(mult, np.broadcast_shapes(mult.shape, f.grid.shape))
+        axes = tuple(range(full.ndim - f.grid.dim, full.ndim))
+        if np.array_equal(full, np.conj(_negated_k(full, axes))):
+            mult = full[..., : f.grid.n // 2 + 1]
+        else:
+            f = _widen(f)
+    return Field._of(f.grid, f.data * mult, MODAL)
 
 
 def derivative_symbol(grid: TorusGrid, alpha: tuple):
     """Multiplier for the mixed derivative d^alpha: (i*pi/a)^|alpha| * k^alpha.
 
     Any odd component of ``alpha`` zeroes the Nyquist column of that axis.
-    Returns an array ready to use with :func:`apply_symbol` via
-    ``apply_symbol(f, lambda *k: sym)``.
+    Returns a full-spectrum array ready to use with :func:`apply_symbol`
+    via ``apply_symbol(f, lambda *k: sym)``, which on a half spectrum
+    takes its columns k_last = 0..n/2 (the zeroed Nyquist column then
+    sits at +n/2).
     """
     if len(alpha) != grid.dim:
         raise RepresentationError(f"alpha must have {grid.dim} entries")
     sym = np.ones(grid.shape, dtype=np.complex128) * (1j * np.pi / grid.a) ** sum(alpha)
-    for k, a_j in zip(_k_meshes(grid), alpha):
+    for k, a_j in zip(_k_meshes(grid, False), alpha):
         if a_j % 2 == 1:
             k = np.where(k == -grid.n // 2, 0.0, k)
         if a_j:
@@ -278,7 +386,7 @@ def derivative_symbol(grid: TorusGrid, alpha: tuple):
 
 def laplacian_symbol(grid: TorusGrid) -> np.ndarray:
     """Multiplier of the Laplacian: -(pi/a)^2 * sum_j k_j^2."""
-    return -_kappa_sq(grid)
+    return -_kappa_sq(grid, False)
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -292,32 +400,29 @@ def sobolev_norm(f: Field, s: float) -> float:
     if s < 0:
         raise RepresentationError(f"s must be >= 0, got {s}")
     c = to_modal(f)
-    if s == 0:
-        w = 1.0
-    else:
-        w = 1.0 + _k_abs1(f.grid) ** (2.0 * s)
-    total = np.sum(w * (c.data.real**2 + c.data.imag**2))
+    total = np.sum(_sobolev_weight(f.grid, s, c.is_real) * _abs2(c.data))
     return float(np.sqrt(f.grid.volume * total))
 
 
 def quadrature_l2(f: Field) -> float:
     """Nodal-quadrature L2 norm (sum_i |u_i|^2 * cell_volume)^(1/2)."""
-    u = to_nodal(f)
-    total = np.sum(u.data.real**2 + u.data.imag**2)
+    total = np.sum(_abs2(to_nodal(f).data))
     return float(np.sqrt(f.grid.cell_volume * total))
 
 
 def dealias_23(f: Field) -> Field:
     """Zero all modes with any |k_j| > n/3 (2/3 rule)."""
-    res = Field(f.grid, to_modal(f).data * _dealias_keep(f.grid), MODAL)
+    c = to_modal(f)
+    res = Field._of(f.grid, c.data * _dealias_keep(f.grid, c.is_real), MODAL)
     return res if f.space == MODAL else to_nodal(res)
 
 
 def modal_tail_fraction(f: Field) -> float:
     """Fraction of modal energy carried by modes with max_j |k_j| >= n/4."""
     c = to_modal(f)
-    e = c.data.real**2 + c.data.imag**2
-    tail = np.any([np.abs(k) >= f.grid.n / 4.0 for k in _k_meshes(f.grid)], axis=0)
+    half = c.is_real
+    e = _abs2(c.data) * _twins(f.grid, half)
+    tail = np.any([np.abs(k) >= f.grid.n / 4.0 for k in _k_meshes(f.grid, half)], axis=0)
     total = float(np.sum(e))
     if total == 0.0:
         return 0.0

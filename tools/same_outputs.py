@@ -17,15 +17,26 @@ each tree, in a fresh temporary directory per run, the script
   write.
 
 It then compares the two trees' collections byte for byte and prints one
-line per run.  Exit code 0 means everything is identical; 1 means some
-output differs, or a run failed in either tree; 2 means bad arguments.  It reads ``perfbench/``
-and ``demos/`` of the checkout it lives in and writes nothing there.
+line per run.  Under a run whose outputs differ it prints one line per
+differing output that both trees wrote: whether the row counts and, in a
+CSV with one, the ``accepted`` column match; whether the text around the
+numbers matches; and, for each position of a number among the lines with
+as many numbers (a header stays apart from the rows) where numbers moved,
+their largest relative and absolute difference and the relative L2
+difference over that position.  A difference at roundoff level shows as
+tiny values, with counts and verdicts that match.  Exit code 0 means
+everything is identical; 1 means some output differs (even at roundoff),
+or a run failed in either tree; 2 means bad arguments.  It reads
+``perfbench/`` and ``demos/`` of the checkout it lives in and writes
+nothing there.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -87,6 +98,52 @@ def _collect(src: Path, argv: list, stdout: bool) -> tuple:
     return proc.returncode, out
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def _accepted(lines: list):
+    """The ``accepted`` column of a CSV's rows, or None without one."""
+    rows = [line for line in lines if not line.startswith("#")]
+    if not rows or "accepted" not in rows[0].split(","):
+        return None
+    j = rows[0].split(",").index("accepted")
+    return [(row.split(",") + [None] * j)[j] for row in rows[1:]]
+
+
+def _describe(a: bytes, b: bytes) -> str:
+    """How text output ``b`` differs from ``a``: counts first, then numbers."""
+    try:
+        la, lb = a.decode().splitlines(), b.decode().splitlines()
+    except UnicodeDecodeError:
+        return "not text"
+    parts = [f"rows {len(la)}/{len(lb)} " + ("match" if len(la) == len(lb) else "DIFFER")]
+    acc = _accepted(la), _accepted(lb)
+    if acc != (None, None):
+        parts.append("accepted column " + ("matches" if acc[0] == acc[1] else "DIFFERS"))
+    text_same = True
+    # per (numbers in the line, position): [max rel, max abs, sum d^2, sum a^2]
+    stats = {}
+    for x, y in zip(la, lb):
+        nx, ny = _NUMBER.findall(x), _NUMBER.findall(y)
+        if _NUMBER.sub("#", x) != _NUMBER.sub("#", y) or len(nx) != len(ny):
+            text_same = False
+            continue
+        for j, (u, v) in enumerate(zip(map(float, nx), map(float, ny))):
+            d = 0.0 if u == v or (math.isnan(u) and math.isnan(v)) else abs(u - v)
+            st = stats.setdefault((len(nx), j), [0.0, 0.0, 0.0, 0.0])
+            st[0] = max(st[0], d / max(abs(u), abs(v)) if d else 0.0)
+            st[1] = max(st[1], d)
+            if math.isfinite(d) and math.isfinite(u):
+                st[2], st[3] = st[2] + d * d, st[3] + u * u
+    parts.append("text around the numbers " + ("matches" if text_same else "DIFFERS"))
+    moved = {key: st for key, st in stats.items() if st[1]}
+    parts.append("numbers equal" if not moved else "numbers differ at " + ", ".join(
+        f"number {j + 1} of {k} (largest relative {st[0]:.2g}, absolute {st[1]:.2g}, "
+        f"relative L2 {math.sqrt(st[2] / st[3]) if st[3] else math.inf:.2g})"
+        for (k, j), st in sorted(moved.items())))
+    return "; ".join(parts)
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -105,6 +162,9 @@ def main(argv=None) -> int:
             print(f"FAILED   {label}: exit codes {rc_a} / {rc_b}")
         elif differ:
             print(f"DIFFERS  {label}: {', '.join(differ)}")
+            for key in differ:
+                if key in a and key in b:
+                    print(f"         {key}: {_describe(a[key], b[key])}")
         else:
             print(f"same     {label}: {', '.join(b) or 'nothing written'}")
         ok = ok and not (rc_a or rc_b or differ)
