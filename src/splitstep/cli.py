@@ -8,7 +8,10 @@ Subcommands::
     splitstep schemes  [--schemes extra.json ...]
 
 The config is a single JSON file with a "problem" block plus one block
-per subcommand; see the README for the full schema.  Exit codes are a
+per subcommand; see the README for the full schema.  Every value is read
+through one reader (``_checked`` builds most of them) and every block
+refuses the keys it does not read, all before any solve; the problems
+and the keys each takes live in one table, ``_PROBLEMS``.  Exit codes are a
 stable contract: 0 success, 2 configuration/input errors, 3 numerical
 failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
 Every command runs serially (``--jobs`` is accepted and has no effect).
@@ -48,22 +51,9 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import Field, TorusGrid, _write_lines, write_field
+from .spectral import Field, TorusGrid, _read_object, _write_lines, write_field
 
 __all__ = ["main"]
-
-
-def _load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return cfg
 
 
 def _registry_from(args):
@@ -110,116 +100,92 @@ def _value(block: dict, where: str, key: str, convert=float, default=_REQUIRED):
         raise ConfigError(f"config: {where}.{key}: {exc}") from None
 
 
+def _only(block: dict, where: str, keys) -> None:
+    """Refuse every key of ``block`` outside ``keys``: a typo is not dropped."""
+    stray = set(block) - set(keys)
+    if stray:
+        raise ConfigError(f"config: {where} takes no {sorted(stray)}")
+
+
+def _checked(convert, ok, want):
+    """A reader: ``convert`` the value, then refuse it unless ``ok`` holds."""
+    def read(v):
+        x = convert(v)
+        if not ok(x):
+            raise ValueError(f"expected {want}, got {v!r}")
+        return x
+    return read
+
+
+def _as_is(v):
+    return v
+
+
 def _floats(v) -> list:
     if not isinstance(v, list):
         raise TypeError(f"expected a list of numbers, got {v!r}")
     return [float(x) for x in v]
 
 
-def _positives(v) -> list:
-    # steps and tolerances: an empty list would measure nothing
-    xs = _floats(v)
-    if not xs or not all(x > 0 for x in xs):
-        raise ValueError(f"expected a non-empty list of positive numbers, got {v!r}")
-    return xs
+# JSON types are kept: bool("false") is True and dict() takes a list of pairs
+_bool = _checked(_as_is, lambda v: isinstance(v, bool), "true or false")
+_object = _checked(_as_is, lambda v: isinstance(v, dict), "an object")
+_strings = _checked(_as_is, lambda v: isinstance(v, list)
+                    and all(isinstance(x, str) for x in v), "a list of strings")
+_count = _checked(_as_is, lambda v: type(v) is int and v >= 1, "a positive integer")
+_finite = _checked(float, np.isfinite, "a finite number")
+_positive = _checked(float, lambda x: x > 0, "a positive number")
+_width = _checked(float, lambda x: 0 < x < np.inf, "a positive finite number")
+# steps and tolerances: an empty list would measure nothing
+_positives = _checked(_floats, lambda xs: xs and all(x > 0 for x in xs),
+                      "a non-empty list of positive numbers")
+_indices = _checked(_floats, lambda xs: all(s >= 0 for s in xs), "Sobolev indices >= 0")
+_kinds = _checked(lambda v: tuple(_strings(v)), lambda v: set(v) <= set(_KINDS),
+                  "entries 'local' or 'global'")
 
 
-def _indices(v) -> list:
-    norms = _floats(v)
-    if not all(s >= 0 for s in norms):
-        raise ValueError(f"expected Sobolev indices >= 0, got {v!r}")
-    return norms
+def _params(cls):
+    return lambda v: cls(**{key: float(x) for key, x in _object(v).items()})
 
 
-def _strings(v) -> list:
-    if not isinstance(v, list) or not all(isinstance(x, str) for x in v):
-        raise TypeError(f"expected a list of strings, got {v!r}")
-    return v
-
-
-def _kinds(v) -> tuple:
-    if not set(_strings(v)) <= set(_KINDS):
-        raise ValueError(f"entries must be 'local' or 'global', got {v!r}")
-    return tuple(v)
-
-
-def _numbers(v) -> dict:
-    if not isinstance(v, dict):
-        raise TypeError(f"expected an object of numbers, got {v!r}")
-    return {key: float(x) for key, x in v.items()}
-
-
-def _bool(v) -> bool:
-    # bool("false") is True: only JSON true/false are accepted
-    if not isinstance(v, bool):
-        raise TypeError(f"expected true or false, got {v!r}")
-    return v
-
-
-def _finite(v) -> float:
-    x = float(v)
-    if not np.isfinite(x):
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return x
-
-
-def _positive(v) -> float:
-    x = float(v)
-    if not x > 0:
-        raise ValueError(f"expected a positive number, got {v!r}")
-    return x
-
-
-def _count(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ValueError(f"expected a positive integer, got {v!r}")
-    return v
-
-
-# The keys each problem takes besides these common ones; any other key in
-# the problem block is refused, as a pair entry refuses another kind's keys.
-_PROBLEM_COMMON = {"name", "dim", "a", "n", "initial", "initial_args"}
-_PROBLEM_KEYS = {
-    "gray_scott": {"params", "rk4_substep", "dealias"},
-    "gray_scott_abc": {"params", "dealias"},
-    "van_der_pol": {"params"},
-    "linear": {"diffusion"},
+# Each problem's factory, by its name in this module, and one reader per
+# key it takes besides _COMMON_KEYS.  The factory is looked up when a
+# problem is built, so a wrapper set on this module is the one called; a
+# key left out keeps the factory's default, and any other key is refused.
+_COMMON_KEYS = {"name", "dim", "a", "n", "initial", "initial_args"}
+_PROBLEMS = {
+    "gray_scott": ("gray_scott_problem", {
+        "params": _params(GrayScottParams), "rk4_substep": _positive, "dealias": _bool}),
+    "gray_scott_abc": ("gray_scott_abc_problem", {
+        "params": _params(GrayScottParams), "dealias": _bool}),
+    "van_der_pol": ("van_der_pol_problem", {"params": _params(VdpParams)}),
+    "linear": ("linear_problem", {"diffusion": float}),
 }
 
 
 def _build_problem(cfg: dict, seed=None):
     pcfg = _block(cfg, "problem")
     name = _value(pcfg, "problem", "name", str)
-    if name not in _PROBLEM_KEYS:
-        raise ConfigError(f"unknown problem {name!r}; available: {sorted(_PROBLEM_KEYS)}")
-    stray = set(pcfg) - _PROBLEM_COMMON - _PROBLEM_KEYS[name]
-    if stray:
-        raise ConfigError(f"config: problem: {name!r} takes no {sorted(stray)}")
+    if name not in _PROBLEMS:
+        raise ConfigError(f"unknown problem {name!r}; available: {sorted(_PROBLEMS)}")
+    factory, readers = _PROBLEMS[name]
+    _only(pcfg, f"problem: {name!r}", _COMMON_KEYS | set(readers))
     try:
         grid = TorusGrid(
-            dim=_value(pcfg, "problem", "dim", int, 1),
-            a=_value(pcfg, "problem", "a", float, np.pi),
-            n=_value(pcfg, "problem", "n", int, 64),
+            dim=_value(pcfg, "problem", "dim", _count, 1),
+            a=_value(pcfg, "problem", "a", _width, np.pi),
+            n=_value(pcfg, "problem", "n", _count, 64),
         )
-        params = _value(pcfg, "problem", "params", _numbers, {})
-        dealias = _value(pcfg, "problem", "dealias", _bool, False)
-        if name == "gray_scott":
-            rk4_substep = _value(pcfg, "problem", "rk4_substep", _positive, 0.1)
-            prob = gray_scott_problem(
-                grid, GrayScottParams(**params), rk4_substep=rk4_substep, dealias=dealias
-            )
-        elif name == "gray_scott_abc":
-            prob = gray_scott_abc_problem(grid, GrayScottParams(**params), dealias=dealias)
-        elif name == "van_der_pol":
-            prob = van_der_pol_problem(grid, VdpParams(**params))
-        else:
-            prob = linear_problem(grid, diffusion=_value(pcfg, "problem", "diffusion", float, 0.5))
-        ic_args = dict(pcfg.get("initial_args", {}))
+        prob = globals()[factory](grid, **{
+            key: _value(pcfg, "problem", key, read) for key, read in readers.items()
+            if key in pcfg})
+        ic_args = dict(_value(pcfg, "problem", "initial_args", _object, {}))
         if seed is not None:
             ic_args["seed"] = seed
-        f0 = initial_condition(pcfg.get("initial", "gs_bump"), grid, **ic_args)
+        f0 = initial_condition(_value(pcfg, "problem", "initial", str, "gs_bump"),
+                               grid, **ic_args)
     except (RepresentationError, TypeError) as exc:
-        # bad grid dims, unknown preset or parameter names: user input
+        # bad grid dims, unknown preset or its arguments: user input
         raise ConfigError(f"problem block: {exc}") from exc
     if f0.m != prob.m:
         raise ConfigError(f"initial condition has {f0.m} components, problem needs {prob.m}")
@@ -239,12 +205,16 @@ def _control_config(block: dict, where: str) -> StepControlConfig:
         raise ConfigError(f"config: {where}: {exc}") from None
 
 
-def _setup(args, command: str):
-    """Config, registry, problem, initial state, the command's block and its span."""
-    cfg = _load_config(args.config)
+def _setup(args, command: str, keys):
+    """Config, registry, problem, initial state, the command's block and its span.
+
+    The block takes ``t0``, ``t_end`` and ``keys``, and refuses any other key.
+    """
+    cfg = _read_object(args.config, ConfigError, "config")
     reg = _registry_from(args)
     prob, f0 = _build_problem(cfg, seed=args.seed)
     block = _block(cfg, command)
+    _only(block, command, {"t0", "t_end", *keys})
     t0 = _value(block, command, "t0", _finite, 0.0)
     t_end = _value(block, command, "t_end", _finite)
     # a zero span is a no-op for run, but leaves converge and compare nothing to measure
@@ -261,15 +231,17 @@ def _out_dir(args) -> Path:
 
 
 def _cmd_run(args) -> int:
-    cfg, reg, prob, f0, rcfg, t0, t_end = _setup(args, "run")
+    cfg, reg, prob, f0, rcfg, t0, t_end = _setup(args, "run", (
+        "mode", "pair", "control", "snapshot_every", "snapshot_times", "scheme", "h", "outputs"))
     out = _out_dir(args)
-    outputs = _value(rcfg, "run", "outputs", dict, {})
+    outputs = _value(rcfg, "run", "outputs", _object, {})
+    _only(outputs, "run.outputs", ("trajectory", "final_state"))
     traj_file = _value(outputs, "run.outputs", "trajectory", os.fspath, "trajectory.csv")
     final_file = _value(outputs, "run.outputs", "final_state", os.fspath, "final.field")
     mode = rcfg.get("mode", "adaptive")
     if mode == "adaptive":
         pair = reg.pair(_value(rcfg, "run", "pair", str))
-        ctrl = _control_config(rcfg.get("control", {}), "run.control")
+        ctrl = _control_config(_value(rcfg, "run", "control", _object, {}), "run.control")
         state, traj = integrate_adaptive(
             prob, pair, f0, t0, t_end, ctrl,
             snapshot_every=_value(rcfg, "run", "snapshot_every", _count, None),
@@ -298,7 +270,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "converge")
+    cfg, reg, prob, f0, ccfg, t0, t_end = _setup(
+        args, "converge", ("subjects", "subject", "hs", "norms", "what"))
     names = (_value(ccfg, "converge", "subjects", _strings, None)
              or [_value(ccfg, "converge", "subject", str)])
     subjects = [(name, reg.pairs.get(name) or reg.scheme(name)) for name in names]
@@ -326,9 +299,10 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg, reg, prob, f0, ccfg, t0, t_end = _setup(args, "compare")
+    cfg, reg, prob, f0, ccfg, t0, t_end = _setup(
+        args, "compare", ("pair", "control", "tols", "out", "calibrate"))
     pair = reg.pair(_value(ccfg, "compare", "pair", str))
-    base = _value(ccfg, "compare", "control", dict, {})
+    base = _value(ccfg, "compare", "control", _object, {})
     tols = _value(ccfg, "compare", "tols", _positives, None)
     if tols is None:
         tols = [_value(base, "compare.control", "tol", float, 1e-4)]

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, DegeneratePairWarning, SchemeFileError
-from .spectral import Field, _write_lines
+from .spectral import Field, _read_object, _write_lines
 from .problems import SplitProblem
 
 __all__ = [
@@ -508,15 +508,7 @@ def load_scheme_file(registry: SchemeRegistry, path) -> None:
     Raises SchemeFileError on grammar violations, inconsistent
     coefficients, duplicate names, or dangling pair references.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemeFileError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemeFileError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemeFileError(f"{path}: top level must be an object")
+    doc = _read_object(path, SchemeFileError, "scheme file")
     unknown = set(doc) - {"schemes", "pairs"}
     if unknown:
         raise SchemeFileError(f"{path}: unknown top-level keys {sorted(unknown)}")

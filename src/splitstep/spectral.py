@@ -43,13 +43,17 @@ the 1-norm |k| = |k_1| + ... + |k_d|; the two are intentionally distinct.
 Every text file the package writes (field snapshots, trajectory,
 convergence and efficiency CSVs, scheme files, the snapshot index) goes
 through one writer, ``_write_lines``: ``# key=value`` provenance lines,
-then the lines, each ending in a newline.
+then the lines, each ending in a newline.  Every JSON file it reads (CLI
+configs, scheme files) goes through one reader, ``_read_object``, which
+requires a top-level object.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
+from itertools import chain
 
 import numpy as np
 
@@ -442,6 +446,21 @@ _MAGIC = "splitstep-field"
 _VERSION = 1
 
 
+def _read_object(path, error, what) -> dict:
+    """The JSON object in the file at ``path``; ``error`` reports a file
+    that cannot be read, is not JSON, or holds no object."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top level must be an object")
+    return doc
+
+
 def _write_lines(path, lines, preamble=None) -> None:
     """Write one ``# key=value`` line per ``preamble`` entry, then ``lines``,
     each ending in a newline."""
@@ -454,7 +473,10 @@ def write_field(f: Field, path) -> None:
     """Write nodal values as the documented delimited-text snapshot."""
     u = to_nodal(f)
     header = f"{_MAGIC} {_VERSION} {f.grid.dim} {f.grid.a!r} {f.grid.n} {u.m}"
-    _write_lines(path, [header] + [f"{float(z.real)!r} {float(z.imag)!r}" for z in u.data.ravel()])
+    # tolist() hands out Python floats or complexes, both with .real and .imag;
+    # the lines are formatted as they are written, never held all at once
+    lines = (f"{z.real!r} {z.imag!r}" for z in u.data.ravel().tolist())
+    _write_lines(path, chain([header], lines))
 
 
 def read_field(path) -> Field:

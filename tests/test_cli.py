@@ -425,6 +425,19 @@ def compare_config(**over):
         ("compare", compare_config(tols=["x"]), "compare.tols"),
         ("run", gs_config(snapshot_every="x"), "run.snapshot_every"),
         ("run", gs_config(outputs={"trajectory": 5}), "run.outputs.trajectory"),
+        # a key the block does not read is refused, not dropped
+        ("converge", converge_config(norm=[1.0]), "converge takes no ['norm']"),
+        ("run", gs_config(snapshot_evry=2), "run takes no ['snapshot_evry']"),
+        ("run", gs_config(outputs={"trajectry": "x.csv"}), "run.outputs takes no ['trajectry']"),
+        ("compare", compare_config(tol=1e-3), "compare takes no ['tol']"),
+        # integers, finite numbers and JSON objects as the schema says
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "dim": 1.7}}, "problem.dim"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "n": 32.9}}, "problem.n"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "a": "inf"}}, "problem.a"),
+        ("run", gs_config(outputs=[["trajectory", "x.csv"]]), "run.outputs"),
+        ("compare", compare_config(control=[["tol", 1e-3]]), "compare.control"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"],
+                                            "initial_args": [["m", 2]]}}, "problem.initial_args"),
     ],
 )
 def test_malformed_config_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,

@@ -9,6 +9,10 @@ each tree, in a fresh temporary directory per run, the script
   subcommand is the config's block besides ``problem``) and collects every
   file the run writes, and the stdout of ``converge`` (``run`` prints the
   wall time, so its stdout is not compared);
+* runs each config of ``PROBLEM_CONFIGS`` (small ``run`` configs that take
+  every problem and every problem key, ``linear`` and ``diffusion``,
+  ``rk4_substep`` and ``dealias`` among them, through the CLI's problem
+  table) the same way, writing the config into the run's directory;
 * runs ``splitstep schemes`` and collects the listing it prints;
 * saves a scheme file with a fresh-named pair of every kind (a Milne pair
   with complex gamma among them) through ``save_scheme_file``, lists it
@@ -62,6 +66,35 @@ sys.exit(main(["schemes", "--schemes", "pairs.json"]))
 """
 
 
+# Every problem, and every problem key, that the benchmark configs leave out.
+_GS = {"name": "gray_scott", "dim": 1, "n": 32, "initial": "gs_bump"}
+_LINEAR = {"name": "linear", "dim": 1, "n": 32, "initial": "random_smooth",
+           "initial_args": {"m": 1, "seed": 3}}
+_ADAPTIVE = {"mode": "adaptive", "pair": "lie-avg", "t_end": 0.3, "control": {"tol": 1e-4}}
+_FIXED = {"mode": "fixed", "scheme": "strang", "t_end": 0.2, "h": 0.05}
+PROBLEM_CONFIGS = {
+    "linear": {"problem": _LINEAR, "run": _FIXED},
+    "linear_diffusion": {"problem": {**_LINEAR, "diffusion": 0.2}, "run": _FIXED},
+    "gray_scott_substep_dealias": {
+        "problem": {**_GS, "rk4_substep": 0.05, "dealias": True,
+                    "params": {"alpha": 0.04, "c2": 0.01}},
+        "run": _ADAPTIVE},
+    "gray_scott_abc_dealias": {
+        "problem": {**_GS, "name": "gray_scott_abc", "dealias": True},
+        "run": {**_ADAPTIVE, "pair": "lie3-avg"}},
+}
+
+# Writes one config of PROBLEM_CONFIGS and runs it.
+PROBLEM_JOB = """
+import json, sys
+from splitstep.cli import main
+
+with open("cfg.json", "w") as fh:
+    json.dump({cfg!r}, fh)
+sys.exit(main(["run", "--config", "cfg.json", "--out", "."]))
+"""
+
+
 def _jobs() -> list:
     """(label, argv, compare stdout) of every run."""
     jobs = []
@@ -71,6 +104,8 @@ def _jobs() -> list:
         cmd = next(k for k in SUBCOMMANDS if k in blocks)
         argv = ["-m", "splitstep.cli", cmd, "--config", str(cfg), "--out", "."]
         jobs.append((f"cli {cfg.stem}", argv, cmd == "converge"))
+    for name, cfg in PROBLEM_CONFIGS.items():
+        jobs.append((f"cli {name}", ["-c", PROBLEM_JOB.format(cfg=cfg)], False))
     jobs.append(("cli schemes", ["-m", "splitstep.cli", "schemes"], True))
     jobs.append(("scheme file", ["-c", SCHEME_FILE_JOB], True))
     for demo in sorted((ROOT / "demos").glob("0[1-5]_*.py")):
