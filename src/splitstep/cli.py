@@ -11,7 +11,8 @@ The config is a single JSON file with a "problem" block plus one block
 per subcommand; see the README for the full schema.  Every value is read
 through one reader (``_checked`` builds most of them) and every block
 refuses the keys it does not read, all before any solve; the problems
-and the keys each takes live in one table, ``_PROBLEMS``.  Exit codes are a
+and the keys each takes live in one table, ``_PROBLEMS``, and the keys of
+each run mode in ``_RUN_MODES``.  Exit codes are a
 stable contract: 0 success, 2 configuration/input errors, 3 numerical
 failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
 Every command runs serially (``--jobs`` is accepted and has no effect).
@@ -137,8 +138,8 @@ _finite = _checked(float, np.isfinite, "a finite number")
 _positive = _checked(float, lambda x: x > 0, "a positive number")
 _width = _checked(float, lambda x: 0 < x < np.inf, "a positive finite number")
 # steps and tolerances: an empty list would measure nothing
-_positives = _checked(_floats, lambda xs: xs and all(x > 0 for x in xs),
-                      "a non-empty list of positive numbers")
+_positives = _checked(_floats, lambda xs: xs and all(0 < x < np.inf for x in xs),
+                      "a non-empty list of positive finite numbers")
 _indices = _checked(_floats, lambda xs: all(s >= 0 for s in xs), "Sobolev indices >= 0")
 _kinds = _checked(lambda v: tuple(_strings(v)), lambda v: set(v) <= set(_KINDS),
                   "entries 'local' or 'global'")
@@ -230,15 +231,26 @@ def _out_dir(args) -> Path:
     return path
 
 
+# the keys each run mode reads besides t0, t_end, mode and outputs
+_RUN_MODES = {
+    "adaptive": ("pair", "control", "snapshot_every", "snapshot_times"),
+    "fixed": ("scheme", "h"),
+}
+_mode = _checked(_as_is, lambda v: isinstance(v, str) and v in _RUN_MODES,
+                 "'adaptive' or 'fixed'")
+
+
 def _cmd_run(args) -> int:
-    cfg, reg, prob, f0, rcfg, t0, t_end = _setup(args, "run", (
-        "mode", "pair", "control", "snapshot_every", "snapshot_times", "scheme", "h", "outputs"))
+    cfg, reg, prob, f0, rcfg, t0, t_end = _setup(
+        args, "run", ("mode", "outputs", *_RUN_MODES["adaptive"], *_RUN_MODES["fixed"]))
+    mode = _value(rcfg, "run", "mode", _mode, "adaptive")
+    # a mode refuses the other's keys: a fixed run takes no snapshots
+    _only(rcfg, f"run: {mode!r} mode", {"t0", "t_end", "mode", "outputs", *_RUN_MODES[mode]})
     out = _out_dir(args)
     outputs = _value(rcfg, "run", "outputs", _object, {})
     _only(outputs, "run.outputs", ("trajectory", "final_state"))
     traj_file = _value(outputs, "run.outputs", "trajectory", os.fspath, "trajectory.csv")
     final_file = _value(outputs, "run.outputs", "final_state", os.fspath, "final.field")
-    mode = rcfg.get("mode", "adaptive")
     if mode == "adaptive":
         pair = reg.pair(_value(rcfg, "run", "pair", str))
         ctrl = _control_config(_value(rcfg, "run", "control", _object, {}), "run.control")
@@ -247,11 +259,10 @@ def _cmd_run(args) -> int:
             snapshot_every=_value(rcfg, "run", "snapshot_every", _count, None),
             snapshot_times=_value(rcfg, "run", "snapshot_times", _floats, None),
         )
-    elif mode == "fixed":
-        scheme = reg.scheme(_value(rcfg, "run", "scheme", str))
-        state, traj = integrate_fixed(prob, scheme, f0, t0, t_end, _value(rcfg, "run", "h"))
     else:
-        raise ConfigError(f"run.mode must be 'adaptive' or 'fixed', got {mode!r}")
+        scheme = reg.scheme(_value(rcfg, "run", "scheme", str))
+        state, traj = integrate_fixed(prob, scheme, f0, t0, t_end,
+                                      _value(rcfg, "run", "h", _width))
 
     write_trajectory_csv(traj, out / traj_file)
     write_field(state, out / final_file)

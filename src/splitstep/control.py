@@ -236,7 +236,7 @@ def integrate_fixed(prob: SplitProblem, scheme: SplittingScheme, f0: Field,
     """
     if t_end < t0:
         raise ConfigError(f"t_end={t_end} before t0={t0}")
-    if h <= 0:
+    if not h > 0:  # NaN too
         raise ConfigError(f"h must be positive, got {h}")
     traj = Trajectory()
     if t_end == t0:

@@ -39,7 +39,10 @@ exp(symbol * t), which ``_gs_factor``, ``_vdp_factors`` and
 ``_linear_factor`` build and cache, read-only, per (grid, params, t,
 layout); a float t gives real factors in the half layout.  The same t
 recurs within a step (an estimator's second word repeats the
-integrator's A-times) and on every step of a fixed-step run.  Each cache
+integrator's A-times) and on every step of a fixed-step run.  An
+adaptive run misses the cache on every step, so the van der Pol factors
+build their series for near-defective modes (|delta*t| < 1e-6) only when
+some mode is one.  Each cache
 keeps ``_FLOW_TIMES`` = 3 entries, the most distinct A-times a built-in
 scheme has in one step (``comp3c`` and ``emb2c``): two would thrash on
 ``comp3c``'s three, and more would only hold more field-sized factors on
@@ -159,7 +162,9 @@ def _nodal(f: Field, what: str, kernel, *args, dealias: bool = False) -> Field:
     """
     comps = to_nodal(f).data
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.stack(kernel(*comps, *args))
+        # np.array stacks equal-shaped components as np.stack does, with the
+        # same dtype promotion, at a quarter of its per-call cost
+        out = np.array(kernel(*comps, *args))
     _check_finite(out, what)
     res = Field._of(f.grid, out, NODAL)
     return dealias_23(res) if dealias else res
@@ -389,9 +394,12 @@ def _vdp_factors(grid: TorusGrid, p: VdpParams, t: complex, half: bool = False) 
         ep = np.exp(tau_p * t)
         em = np.exp(tau_m * t)
         cos_part = 0.5 * (ep + em)
+        sin_part = (ep - em) / two_delta
         dt_small = np.abs(delta * t) < 1e-6
-        series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
-        sin_part = np.where(dt_small, series, (ep - em) / two_delta)
+        if dt_small.any():
+            # (near-)defective modes: the quotient above loses its digits
+            series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
+            sin_part = np.where(dt_small, series, sin_part)
         out = (cos_part + sin_part * d11, sin_part, sin_part * (-1.0 / p.eps),
                cos_part + sin_part * d22)
     # a list, not a generator: tuple(generator) bypasses the 4-tuple free list,
@@ -401,7 +409,7 @@ def _vdp_factors(grid: TorusGrid, p: VdpParams, t: complex, half: bool = False) 
 
 def _vdp_flow_kernel(c, factors, p, t):
     e11, e12, e21, e22 = factors
-    return np.stack([e11 * c[0] + e12 * c[1], e21 * c[0] + e22 * c[1]])
+    return np.array([e11 * c[0] + e12 * c[1], e21 * c[0] + e22 * c[1]])
 
 
 def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
@@ -417,7 +425,7 @@ def vdp_linear_flow(t: complex, f: Field, p: VdpParams) -> Field:
 
 def _vdp_rhs_kernel(c, sym, p):
     m11, lap_v = sym[:2]
-    return np.stack([m11 * c[0] + c[1], lap_v * c[1] + (c[1] - c[0]) / p.eps])
+    return np.array([m11 * c[0] + c[1], lap_v * c[1] + (c[1] - c[0]) / p.eps])
 
 
 def vdp_reaction_flow(t: complex, f: Field, p: VdpParams) -> Field:

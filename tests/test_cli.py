@@ -35,6 +35,9 @@ def gs_config(**run_overrides):
             "control": {"tol": 1e-4},
         },
     }
+    if run_overrides.get("mode") == "fixed":
+        # a fixed run refuses the adaptive keys
+        del cfg["run"]["pair"], cfg["run"]["control"]
     cfg["run"].update(run_overrides)
     return cfg
 
@@ -438,6 +441,11 @@ def compare_config(**over):
         ("compare", compare_config(control=[["tol", 1e-3]]), "compare.control"),
         ("run", {**gs_config(), "problem": {**gs_config()["problem"],
                                             "initial_args": [["m", 2]]}}, "problem.initial_args"),
+        # a fixed step and the ladders' steps and tolerances are finite
+        ("run", gs_config(mode="fixed", scheme="lie", h="nan"), "run.h"),
+        ("run", gs_config(mode="fixed", scheme="lie", h="inf"), "run.h"),
+        ("converge", converge_config(hs=["inf"]), "converge.hs"),
+        ("compare", compare_config(tols=["inf"]), "compare.tols"),
     ],
 )
 def test_malformed_config_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
@@ -630,6 +638,21 @@ def test_empty_tols_or_non_finite_span_end_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, command, cfg, where):
     test_malformed_config_value_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch, command, cfg, where)
+
+
+@pytest.mark.parametrize("run, where", [
+    ({"mode": "fixed", "scheme": "lie", "h": 0.1, "snapshot_every": 1},
+     "run: 'fixed' mode takes no ['snapshot_every']"),
+    ({"mode": "fixed", "scheme": "lie", "h": 0.1, "pair": "lie-avg", "control": {"tol": 1e-4}},
+     "run: 'fixed' mode takes no ['control', 'pair']"),
+    ({"scheme": "lie", "h": 0.1}, "run: 'adaptive' mode takes no ['h', 'scheme']"),
+    ({"mode": ["fixed"]}, "run.mode"),
+])
+def test_run_refuses_the_other_modes_keys_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                           run, where):
+    # a fixed run used to drop snapshot_every and write no snapshots
+    test_malformed_config_value_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, "run", gs_config(**run), where)
 
 
 @pytest.mark.parametrize("run", [{}, {"mode": "fixed", "scheme": "lie", "h": 0.1}])

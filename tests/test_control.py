@@ -287,6 +287,12 @@ def test_integrate_fixed_validation():
     assert f1 is f and not traj.records
 
 
+def test_integrate_fixed_refuses_a_nan_step():
+    # NaN compares false both ways; it used to reach int(ceil(span / h))
+    with pytest.raises(ConfigError, match="h must be positive"):
+        integrate_fixed(lin_prob(), REG.scheme("lie"), lin_state(), 0.0, 1.0, float("nan"))
+
+
 # ---------------------------------------------------------------------------
 # calibration
 

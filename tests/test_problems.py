@@ -41,6 +41,7 @@ from splitstep.problems import (
     _kappa_sq,
     _linear_factor,
     _linear_symbol,
+    _nodal,
     _vdp_factors,
     _vdp_symbol,
     gs_linear_flow,
@@ -50,6 +51,7 @@ from splitstep.problems import (
     vdp_linear_flow,
     vdp_reaction_flow,
 )
+from splitstep.spectral import NODAL
 
 GRID1 = TorusGrid(1, 1.0, 16)
 GS = GrayScottParams()
@@ -408,6 +410,80 @@ def test_refused_time_leaves_the_factor_cache_untouched(name):
         with pytest.raises(UnstableStepError):
             flow(t, f0)
     assert cache.cache_info() == before
+
+
+# eps = 1, du = 0, dv = 3 on [-pi, pi): kap2 = k^2, and at k = +-1 the
+# discriminant 0.25*(m11 - m22)^2 - 1/eps is exactly 0, so delta = 0 there
+NEAR_DEFECTIVE = VdpParams(eps=1.0, du=0.0, dv=3.0)
+GRID_PI = TorusGrid(1, np.pi, 16)
+
+
+def vdp_factors_inline(grid, p, t, half=False):
+    # the formula of vdp_flow_inline, series and all, on either layout's modes;
+    # the half layout keeps the real part
+    kap2 = _kappa_sq(grid, half)
+    m11 = -p.du * kap2
+    lap_v = -p.dv * kap2
+    m22 = lap_v + 1.0 / p.eps
+    disc = np.asarray(0.25 * (m11 - m22) ** 2 - 1.0 / p.eps, dtype=np.complex128)
+    tau, delta = 0.5 * (m11 + m22), np.sqrt(disc)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ep = np.exp((tau + delta) * t)
+        em = np.exp((tau - delta) * t)
+        cos_part = 0.5 * (ep + em)
+        dt_small = np.abs(delta * t) < 1e-6
+        series = t * np.exp(tau * t) * (1.0 + (delta * t) ** 2 / 6.0)
+        sin_part = np.where(dt_small, series, (ep - em) / (2.0 * delta))
+        out = (cos_part + sin_part * (m11 - tau), sin_part, sin_part * (-1.0 / p.eps),
+               cos_part + sin_part * (m22 - tau))
+    return tuple(e.real for e in out) if half else out
+
+
+@pytest.mark.parametrize("t, series_modes", [
+    (1e-9, {False: 16, True: 9}),   # every mode
+    (0.013, {False: 2, True: 1}),   # k = +-1 only
+    (0.013 + 0.004j, {False: 2}),   # a complex t runs in the full layout
+])
+def test_vdp_near_defective_modes_are_bitwise_the_series_formula(t, series_modes):
+    p, grid = NEAR_DEFECTIVE, GRID_PI
+    for half, count in series_modes.items():
+        delta = _vdp_symbol(grid, p, half)[3]
+        assert np.count_nonzero(np.abs(delta * t) < 1e-6) == count
+        clear_caches()
+        for got, want in zip(_vdp_factors(grid, p, t, half), vdp_factors_inline(grid, p, t, half)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), half
+    u = random_states(grid, 1, seed=23)[0]
+    for f in (Field._of(grid, u.copy(), NODAL), Field(grid, u)):
+        clear_caches()
+        got = vdp_linear_flow(t, f, p).data
+        # a real state under a complex t widens: the complex state's path
+        c = to_modal(Field(grid, u) if isinstance(t, complex) else f)
+        e11, e12, e21, e22 = vdp_factors_inline(grid, p, t, c.is_real)
+        want = np.stack([e11 * c.data[0] + e12 * c.data[1], e21 * c.data[0] + e22 * c.data[1]])
+        assert got.dtype == want.dtype and np.array_equal(got, want), f.is_real
+
+
+@pytest.mark.parametrize("kernel, m", [
+    (lambda u: (2.0 * u,), 1),
+    (lambda u: (u * np.exp(0.3j * u),), 1),
+    (lambda u, v: (u, v * np.exp(-0.2j * u)), 2),  # float64 and complex128 components
+    (lambda u, v: (np.zeros_like(u), u * v), 2),
+])
+def test_nodal_assembles_components_as_np_stack_does(kernel, m):
+    u = random_states(GRID1, 1, seed=29)[0][:m]
+    for data in (u, u.astype(np.complex128)):
+        want = np.stack(kernel(*data))
+        got = _nodal(Field._of(GRID1, data.copy(), NODAL), "test kernel", kernel).data
+        assert got.shape == want.shape == (m,) + GRID1.shape
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_one_component_nodal_flow_keeps_its_shape_and_real_dtype():
+    prob = linear_problem(GRID1, potential=np.cos)
+    f = Field._of(GRID1, random_states(GRID1, 1, seed=31)[0][:1], NODAL)
+    for t, dtype in ((0.01, np.float64), (0.01 + 0.002j, np.complex128)):
+        out = prob.flows[1](t, f)
+        assert out.data.shape == (1,) + GRID1.shape and out.data.dtype == dtype
 
 
 @pytest.mark.parametrize("scheme", sorted(builtin_registry().schemes))
