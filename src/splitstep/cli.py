@@ -140,7 +140,8 @@ _width = _checked(float, lambda x: 0 < x < np.inf, "a positive finite number")
 # steps and tolerances: an empty list would measure nothing
 _positives = _checked(_floats, lambda xs: xs and all(0 < x < np.inf for x in xs),
                       "a non-empty list of positive finite numbers")
-_indices = _checked(_floats, lambda xs: all(s >= 0 for s in xs), "Sobolev indices >= 0")
+_indices = _checked(_floats, lambda xs: all(0 <= s < np.inf for s in xs), "finite indices >= 0")
+_times = _checked(_floats, lambda xs: np.isfinite(xs).all(), "a list of finite numbers")
 _kinds = _checked(lambda v: tuple(_strings(v)), lambda v: set(v) <= set(_KINDS),
                   "entries 'local' or 'global'")
 
@@ -257,7 +258,7 @@ def _cmd_run(args) -> int:
         state, traj = integrate_adaptive(
             prob, pair, f0, t0, t_end, ctrl,
             snapshot_every=_value(rcfg, "run", "snapshot_every", _count, None),
-            snapshot_times=_value(rcfg, "run", "snapshot_times", _floats, None),
+            snapshot_times=_value(rcfg, "run", "snapshot_times", _times, None),
         )
     else:
         scheme = reg.scheme(_value(rcfg, "run", "scheme", str))

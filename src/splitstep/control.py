@@ -200,6 +200,10 @@ def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
     """
     if t_end < t0:
         raise ConfigError(f"t_end={t_end} before t0={t0}")
+    # a NaN would sort first and never come due, holding back every later time
+    pending = sorted(snapshot_times) if snapshot_times else []
+    if not np.isfinite(pending).all():
+        raise ConfigError(f"snapshot_times must be finite, got {snapshot_times}")
     traj = Trajectory()
     if t_end == t0:
         return f0, traj
@@ -207,7 +211,6 @@ def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
     span = t_end - t0
     h = min(_default_h_init(cfg, pair, span), span)
     h = float(min(cfg.h_max, max(cfg.h_min, h)))
-    pending = sorted(snapshot_times) if snapshot_times else []
     t, f = t0, f0
     n_acc = 0
     while t < t_end:

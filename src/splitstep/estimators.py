@@ -29,7 +29,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .problems import SplitProblem
-from .schemes import SchemePair, apply_word
+from .schemes import SchemePair, _same_arity, apply_word
 from .spectral import MODAL, Field, quadrature_l2, sobolev_norm, to_modal, to_nodal
 
 __all__ = ["EstimateResult", "controller_norm", "estimate_step"]
@@ -72,11 +72,7 @@ def _combine(ca, fa: Field, cb, fb: Field) -> Field:
 def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
                   norm: str = "l2") -> EstimateResult:
     """One integrator step with its paired local error estimate."""
-    if pair.integrator.arity != prob.arity:
-        raise ConfigError(
-            f"pair {pair.name} has arity {pair.integrator.arity}, problem "
-            f"{prob.name} has arity {prob.arity}"
-        )
+    _same_arity(pair.integrator, prob, f"pair {pair.name}: ")
     u_pref, n_pref = apply_word(pair.prefix_word, prob, h, f) if pair.prefix_word else (f, 0)
     u_next, n_int = apply_word(pair.integrator_word, prob, h, u_pref)
     u_second, n_second = apply_word(pair.second_word, prob, h, u_pref)

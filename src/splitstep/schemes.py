@@ -192,13 +192,15 @@ def apply_word(word, prob: SplitProblem, h: complex, f: Field):
     return f, n_evals
 
 
+def _same_arity(a, b, where: str = "") -> None:
+    """Refuse ``a`` (a scheme) beside ``b`` (a problem or scheme) of another arity."""
+    if a.arity != b.arity:
+        raise ConfigError(f"{where}{a.name} has arity {a.arity}, {b.name} has arity {b.arity}")
+
+
 def compose_step(scheme: SplittingScheme, prob: SplitProblem, h: complex, f: Field) -> Field:
     """One step u1 = S(h, u0) of the splitting applied to the problem."""
-    if scheme.arity != prob.arity:
-        raise ConfigError(
-            f"scheme {scheme.name} has arity {scheme.arity}, problem {prob.name} "
-            f"has arity {prob.arity}"
-        )
+    _same_arity(scheme, prob)
     out, _ = apply_word(scheme.word(), prob, h, f)
     return out
 
@@ -289,11 +291,7 @@ class SchemePair:
             if self.gamma is None or self.gamma == 1:
                 raise ConfigError(f"{self.name}: Milne pair needs gamma != 1")
             second, gamma = self.partner, self.gamma
-        if second.arity != self.integrator.arity:
-            raise ConfigError(
-                f"{self.name}: {second.name} has arity {second.arity}, "
-                f"{self.integrator.name} has arity {self.integrator.arity}"
-            )
+        _same_arity(second, self.integrator, f"{self.name}: ")
         if gamma is not None:
             object.__setattr__(self, "shared_prefix_len", 0)
         object.__setattr__(self, "second", second)
@@ -333,35 +331,31 @@ class SchemeRegistry:
         self.pairs = {}
         self._builtin_names = set()
 
-    def add(self, scheme: SplittingScheme, builtin: bool = False):
-        if scheme.name in self.schemes:
-            raise SchemeFileError(f"duplicate scheme name {scheme.name!r}")
-        self.schemes[scheme.name] = scheme
+    def _put(self, table: dict, what: str, item, builtin: bool):
+        if item.name in table:
+            raise SchemeFileError(f"duplicate {what} name {item.name!r}")
+        table[item.name] = item
         if builtin:
-            self._builtin_names.add(scheme.name)
+            self._builtin_names.add(item.name)
+
+    @staticmethod
+    def _get(table: dict, what: str, name: str):
+        try:
+            return table[name]
+        except KeyError:
+            raise ConfigError(f"unknown {what} {name!r}; available: {sorted(table)}") from None
+
+    def add(self, scheme: SplittingScheme, builtin: bool = False):
+        self._put(self.schemes, "scheme", scheme, builtin)
 
     def add_pair(self, pair: SchemePair, builtin: bool = False):
-        if pair.name in self.pairs:
-            raise SchemeFileError(f"duplicate pair name {pair.name!r}")
-        self.pairs[pair.name] = pair
-        if builtin:
-            self._builtin_names.add(pair.name)
+        self._put(self.pairs, "pair", pair, builtin)
 
     def scheme(self, name: str) -> SplittingScheme:
-        try:
-            return self.schemes[name]
-        except KeyError:
-            raise ConfigError(
-                f"unknown scheme {name!r}; available: {sorted(self.schemes)}"
-            ) from None
+        return self._get(self.schemes, "scheme", name)
 
     def pair(self, name: str) -> SchemePair:
-        try:
-            return self.pairs[name]
-        except KeyError:
-            raise ConfigError(
-                f"unknown pair {name!r}; available: {sorted(self.pairs)}"
-            ) from None
+        return self._get(self.pairs, "pair", name)
 
     def builtin_names(self) -> set:
         return set(self._builtin_names)

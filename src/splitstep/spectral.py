@@ -401,8 +401,8 @@ def sobolev_norm(f: Field, s: float) -> float:
     weight to 1 so the value equals the L2 norm (Parseval); for s > 0 the
     k = 0 weight is likewise 1 since |0|^(2s) = 0.
     """
-    if s < 0:
-        raise RepresentationError(f"s must be >= 0, got {s}")
+    if not 0 <= s < np.inf:  # NaN too
+        raise RepresentationError(f"s must be finite and >= 0, got {s}")
     c = to_modal(f)
     total = np.sum(_sobolev_weight(f.grid, s, c.is_real) * _abs2(c.data))
     return float(np.sqrt(f.grid.volume * total))
@@ -480,21 +480,22 @@ def write_field(f: Field, path) -> None:
 
 
 def read_field(path) -> Field:
-    """Read a snapshot written by :func:`write_field`."""
+    """Read a snapshot written by :func:`write_field`.
+
+    A malformed file is a RepresentationError that names the bad line.
+    """
+    i = -1  # the header
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 6 or header[0] != _MAGIC or int(header[1]) != _VERSION:
-            raise RepresentationError(f"{path}: not a field snapshot")
-        dim, a, n, m = int(header[2]), float(header[3]), int(header[4]), int(header[5])
-        grid = TorusGrid(dim, a, n)
-        count = m * n**dim
-        re = np.empty(count)
-        im = np.empty(count)
-        for i in range(count):
-            parts = fh.readline().split()
-            if len(parts) != 2:
-                raise RepresentationError(f"{path}: truncated at data line {i}")
-            re[i] = float(parts[0])
-            im[i] = float(parts[1])
-    data = (re + 1j * im).reshape((m,) + grid.shape)
+        try:
+            magic, version, dim, a, n, m = fh.readline().split()
+            if magic != _MAGIC or int(version) != _VERSION or int(m) < 1:
+                raise ValueError
+            grid = TorusGrid(int(dim), float(a), int(n))
+            re, im = np.empty((2, int(m) * grid.n**grid.dim))
+            for i in range(re.size):
+                re[i], im[i] = map(float, fh.readline().split())
+        except ValueError:
+            where = f"bad or missing data line {i}" if i >= 0 else "not a field snapshot"
+            raise RepresentationError(f"{path}: {where}") from None
+    data = (re + 1j * im).reshape((-1,) + grid.shape)
     return Field(grid, data, NODAL)

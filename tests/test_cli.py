@@ -446,6 +446,9 @@ def compare_config(**over):
         ("run", gs_config(mode="fixed", scheme="lie", h="inf"), "run.h"),
         ("converge", converge_config(hs=["inf"]), "converge.hs"),
         ("compare", compare_config(tols=["inf"]), "compare.tols"),
+        # Sobolev indices and snapshot times are finite
+        ("converge", converge_config(norms=["inf"]), "converge.norms"),
+        ("run", gs_config(snapshot_times=["nan", "inf", -1.0]), "run.snapshot_times"),
     ],
 )
 def test_malformed_config_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,

@@ -197,6 +197,25 @@ def test_integrate_adaptive_snapshots():
     assert traj2.snapshots[0][0] >= 0.2
 
 
+def test_snapshot_time_before_t0_is_taken_at_the_first_accepted_step():
+    prob, f = lin_prob(), lin_state()
+    cfg = StepControlConfig(tol=1e-6)
+    _, traj = integrate_adaptive(prob, REG.pair("lie-avg"), f, 0.0, 0.4, cfg,
+                                 snapshot_times=[0.2, -1.0])
+    first = traj.accepted_steps()[0]
+    assert len(traj.snapshots) == 2
+    assert traj.snapshots[0][0] == first.t + first.h and traj.snapshots[1][0] >= 0.2
+
+
+@pytest.mark.parametrize("times", [[np.nan, 0.2], [0.2, np.inf], [-np.inf]])
+def test_integrate_adaptive_refuses_non_finite_snapshot_times(times):
+    # a NaN sorts first and would hold back every later time: no snapshot at all
+    prob, f = lin_prob(), lin_state()
+    with pytest.raises(ConfigError, match="snapshot_times"):
+        integrate_adaptive(prob, REG.pair("lie-avg"), f, 0.0, 0.4,
+                           StepControlConfig(tol=1e-6), snapshot_times=times)
+
+
 def test_integrate_adaptive_respects_h_max():
     prob, f = lin_prob(), lin_state()
     cfg = StepControlConfig(tol=1e-2, h_max=0.01)

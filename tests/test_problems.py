@@ -602,6 +602,28 @@ def test_overflowing_flow_raises_blow_up():
             vdp_reaction_flow(-2.0, f0, VdpParams(eps=1e-3))
 
 
+def _state(u0, v0):
+    return Field(GRID1, np.stack([np.full(16, u0), np.full(16, v0)]))
+
+
+@pytest.mark.parametrize("what, flow, f", [
+    ("vdp_linear_flow", lambda f: vdp_linear_flow(1e3, f, VdpParams(eps=1e-3)), _state(0.5, 0.1)),
+    ("vdp_reaction_flow", lambda f: vdp_reaction_flow(-2.0, f, VdpParams(eps=1e-3)),
+     _state(50.0, 1.0)),
+    ("gs_reaction_c_flow", lambda f: gs_reaction_c_flow(-1e3, f), _state(1.0, 10.0)),
+    ("gs_reaction_flow_rk4", lambda f: gs_reaction_flow_rk4(10.0, f), _state(1e3, 1e3)),
+    ("linear_problem B-flow",
+     lambda f: linear_problem(GRID1, potential=lambda x: 1e3 + 0.0 * x).flows[1](1.0, f),
+     Field(GRID1, np.ones(16))),
+])
+def test_every_guarded_flow_turns_overflow_into_blow_up_naming_it(what, flow, f):
+    # one guard for every flow: no RuntimeWarning escapes, the error names the flow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=what):
+            flow(f)
+
+
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------

@@ -199,6 +199,13 @@ def test_sobolev_norm_single_mode_h1():
     assert sobolev_norm(f, 1) == pytest.approx(2 * np.sqrt(np.pi), rel=1e-13)
 
 
+@pytest.mark.parametrize("s", [np.inf, np.nan, -0.5])
+def test_sobolev_norm_refuses_an_index_that_is_not_finite_and_nonnegative(s):
+    # at s = inf every weight but the mean's is infinite; NaN compares false
+    with pytest.raises(RepresentationError):
+        sobolev_norm(random_field(TorusGrid(1, 1.0, 8)), s)
+
+
 def test_sobolev_norm_matches_direct_sum():
     a = 1.25
     grid = TorusGrid(1, a, 16)
@@ -294,6 +301,18 @@ def test_snapshot_rejects_garbage(tmp_path):
     p.write_text("splitstep-field 1 1 1.0 8 1\n0.0 0.0\n")  # truncated
     with pytest.raises(RepresentationError):
         read_field(p)
+    # every malformed snapshot is a RepresentationError naming the bad line
+    body = "0.0 0.0\n" * 7
+    for text, where in [
+        ("splitstep-field 1 1 1.0 8 1\nx 0.0\n" + body, "bad or missing data line 0"),
+        ("splitstep-field 1 1 1.0 8 1\n" + body + "0.0 0.0 0.0\n", "bad or missing data line 7"),
+        ("splitstep-field 1 1.5 1.0 8 1\n0.0 0.0\n" + body, "not a field snapshot"),
+        ("splitstep-field 1 1 1.0 8 -1\n", "not a field snapshot"),
+        ("splitstep-field 1 1 1.0 8 1\n" + body, "bad or missing data line 7"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(RepresentationError, match=where):
+            read_field(p)
 
 
 # ---------------------------------------------------------------------------

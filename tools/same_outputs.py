@@ -12,7 +12,8 @@ each tree, in a fresh temporary directory per run, the script
 * runs each config of ``PROBLEM_CONFIGS`` (small ``run`` configs that take
   every problem and every problem key, ``linear`` and ``diffusion``,
   ``rk4_substep`` and ``dealias`` among them, through the CLI's problem
-  table) the same way, writing the config into the run's directory;
+  table, and one adaptive run with snapshots) the same way, writing the
+  config into the run's directory;
 * runs ``splitstep schemes`` and collects the listing it prints;
 * saves a scheme file with a fresh-named pair of every kind (a Milne pair
   with complex gamma among them) through ``save_scheme_file``, lists it
@@ -78,7 +79,8 @@ PROBLEM_CONFIGS = {
     "gray_scott_substep_dealias": {
         "problem": {**_GS, "rk4_substep": 0.05, "dealias": True,
                     "params": {"alpha": 0.04, "c2": 0.01}},
-        "run": _ADAPTIVE},
+        # snapshots every third step and at two times, one of them before t0
+        "run": {**_ADAPTIVE, "snapshot_every": 3, "snapshot_times": [-1.0, 0.15]}},
     "gray_scott_abc_dealias": {
         "problem": {**_GS, "name": "gray_scott_abc", "dealias": True},
         "run": {**_ADAPTIVE, "pair": "lie3-avg"}},
