@@ -3,7 +3,7 @@
 Subcommands::
 
     splitstep run      --config cfg.json [--schemes extra.json ...] [--out DIR]
-    splitstep converge --config cfg.json [--jobs N] [...]
+    splitstep converge --config cfg.json [...]
     splitstep compare  --config cfg.json [...]
     splitstep schemes  [--schemes extra.json ...]
 
@@ -15,7 +15,6 @@ and the keys each takes live in one table, ``_PROBLEMS``, and the keys of
 each run mode in ``_RUN_MODES``.  Exit codes are a
 stable contract: 0 success, 2 configuration/input errors, 3 numerical
 failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
-Every command runs serially (``--jobs`` is accepted and has no effect).
 Runs of the same config and scheme files produce byte-identical
 trajectory and convergence CSVs; the compare command embeds wall-clock
 timings, which naturally vary.
@@ -355,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schemes", action="append", metavar="FILE",
                        help="extra scheme file; repeatable")
         p.add_argument("--out", help="output directory (default $SPLITSTEP_OUT or .)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; every command runs serially")
         p.add_argument("--seed", type=int, help="seed for randomized initial data")
 
     common(sub.add_parser("run", help="single integration, trajectory CSV + snapshot"))

@@ -64,16 +64,17 @@ class StepControlConfig:
     project_real: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if not 0 < self.alpha <= 1:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 < self.alpha_min < 1 < self.alpha_max:
             raise ConfigError("need 0 < alpha_min < 1 < alpha_max")
         if not 0 < self.h_min <= self.h_max:
             raise ConfigError("need 0 < h_min <= h_max")
-        if self.reject_threshold < 1.0:
-            raise ConfigError("reject_threshold below 1 would reject accepted-quality steps")
+        if not self.reject_threshold >= 1.0:
+            raise ConfigError(f"reject_threshold must be >= 1, got {self.reject_threshold}: "
+                              "below 1 would reject accepted-quality steps")
         p = self.order_p
         if p is not None and (isinstance(p, bool) or not isinstance(p, Integral) or p < 1):
             raise ConfigError(f"order_p must be an integer >= 1, got {p!r}")

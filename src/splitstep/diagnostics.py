@@ -316,7 +316,8 @@ def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=
             true_l2 = needs[norms.index(0.0)] if 0.0 in norms else _err(u1, cur, 0.0)
             needs.append(abs(res.est_norm - true_l2))
             needs.append(_err(res.u_control, cur, 0.0))
-        # same roundoff-aware floor as the global bootstrap
+        # 1% of the smallest quantity measured, floored at 1e-12 of the
+        # rung's L2 norm and at 1e-15; one goal shared by every norm
         goal = 1e-2 * max(min(needs), 1e-12 * sobolev_norm(cur, 0.0), 1e-15)
         if max(deltas.values()) <= goal:
             return cur, deltas

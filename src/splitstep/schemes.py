@@ -80,7 +80,7 @@ class SplittingScheme:
         object.__setattr__(self, "stages", stages)
         for slot in range(self.arity):
             total = sum(st[slot] for st in stages)
-            if abs(total - 1.0) > _CONSISTENCY_TOL:
+            if not abs(total - 1.0) <= _CONSISTENCY_TOL:  # NaN fails too
                 raise ConfigError(
                     f"{self.name}: slot {slot} coefficients sum to {total}, expected 1"
                 )
@@ -288,8 +288,8 @@ class SchemePair:
                 raise ConfigError(f"{self.name}: Milne pair needs a partner scheme")
             if self.partner.order != p:
                 raise ConfigError(f"{self.name}: Milne partner must match order {p}")
-            if self.gamma is None or self.gamma == 1:
-                raise ConfigError(f"{self.name}: Milne pair needs gamma != 1")
+            if self.gamma is None or self.gamma == 1 or not np.isfinite(self.gamma):
+                raise ConfigError(f"{self.name}: Milne pair needs a finite gamma != 1")
             second, gamma = self.partner, self.gamma
         _same_arity(second, self.integrator, f"{self.name}: ")
         if gamma is not None:
@@ -329,14 +329,12 @@ class SchemeRegistry:
     def __init__(self):
         self.schemes = {}
         self.pairs = {}
-        self._builtin_names = set()
 
-    def _put(self, table: dict, what: str, item, builtin: bool):
+    @staticmethod
+    def _put(table: dict, what: str, item):
         if item.name in table:
             raise SchemeFileError(f"duplicate {what} name {item.name!r}")
         table[item.name] = item
-        if builtin:
-            self._builtin_names.add(item.name)
 
     @staticmethod
     def _get(table: dict, what: str, name: str):
@@ -345,11 +343,11 @@ class SchemeRegistry:
         except KeyError:
             raise ConfigError(f"unknown {what} {name!r}; available: {sorted(table)}") from None
 
-    def add(self, scheme: SplittingScheme, builtin: bool = False):
-        self._put(self.schemes, "scheme", scheme, builtin)
+    def add(self, scheme: SplittingScheme):
+        self._put(self.schemes, "scheme", scheme)
 
-    def add_pair(self, pair: SchemePair, builtin: bool = False):
-        self._put(self.pairs, "pair", pair, builtin)
+    def add_pair(self, pair: SchemePair):
+        self._put(self.pairs, "pair", pair)
 
     def scheme(self, name: str) -> SplittingScheme:
         return self._get(self.schemes, "scheme", name)
@@ -357,16 +355,10 @@ class SchemeRegistry:
     def pair(self, name: str) -> SchemePair:
         return self._get(self.pairs, "pair", name)
 
-    def builtin_names(self) -> set:
-        return set(self._builtin_names)
-
-    def highest_order_scheme(self, arity: int = 2, parabolic_only: bool = True) -> SplittingScheme:
-        """Best available scheme for reference solves."""
-        candidates = [
-            s
-            for s in self.schemes.values()
-            if s.arity == arity and (s.parabolic_safe or not parabolic_only)
-        ]
+    def highest_order_scheme(self, arity: int = 2) -> SplittingScheme:
+        """Best parabolic-safe scheme for reference solves: a negative
+        A-time would run diffusion backward."""
+        candidates = [s for s in self.schemes.values() if s.arity == arity and s.parabolic_safe]
         if not candidates:
             raise ConfigError(f"no registered scheme of arity {arity}")
         return max(candidates, key=lambda s: (s.order, -s.flow_evals))
@@ -407,19 +399,14 @@ def builtin_registry() -> SchemeRegistry:
     )
 
     for s in (lie, lie_adj, strang, comp3c, emb2c, lie3, strang3):
-        reg.add(s, builtin=True)
+        reg.add(s)
 
-    reg.add_pair(SchemePair("lie-avg", "adjoint_average", lie), builtin=True)
-    reg.add_pair(
-        SchemePair("lie-milne", "milne", lie, partner=lie_adj, gamma=-1.0), builtin=True
-    )
-    reg.add_pair(SchemePair("lie-pal", "palindromic", lie), builtin=True)
-    reg.add_pair(SchemePair("comp3c-avg", "adjoint_average", comp3c), builtin=True)
-    reg.add_pair(
-        SchemePair("emb23c", "embedded", emb2c, controller=comp3c, shared_prefix_len=1),
-        builtin=True,
-    )
-    reg.add_pair(SchemePair("lie3-avg", "adjoint_average", lie3), builtin=True)
+    reg.add_pair(SchemePair("lie-avg", "adjoint_average", lie))
+    reg.add_pair(SchemePair("lie-milne", "milne", lie, partner=lie_adj, gamma=-1.0))
+    reg.add_pair(SchemePair("lie-pal", "palindromic", lie))
+    reg.add_pair(SchemePair("comp3c-avg", "adjoint_average", comp3c))
+    reg.add_pair(SchemePair("emb23c", "embedded", emb2c, controller=comp3c, shared_prefix_len=1))
+    reg.add_pair(SchemePair("lie3-avg", "adjoint_average", lie3))
     return reg
 
 

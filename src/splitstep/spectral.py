@@ -88,7 +88,7 @@ class TorusGrid:
     dim : int
         Spatial dimension, 1 to 3.
     a : float
-        Half-width of the periodic box.
+        Half-width of the periodic box; positive and finite.
     n : int
         Points per axis; a power of two, at least 4.
     """
@@ -100,8 +100,8 @@ class TorusGrid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise RepresentationError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not self.a > 0:
-            raise RepresentationError(f"half-width a must be positive, got {self.a}")
+        if not 0 < self.a < np.inf:
+            raise RepresentationError(f"half-width a must be positive and finite, got {self.a}")
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise RepresentationError(f"n must be a power of two >= 4, got {n}")
@@ -494,7 +494,7 @@ def read_field(path) -> Field:
             re, im = np.empty((2, int(m) * grid.n**grid.dim))
             for i in range(re.size):
                 re[i], im[i] = map(float, fh.readline().split())
-        except ValueError:
+        except (ValueError, RepresentationError):  # TorusGrid refuses a bad header grid
             where = f"bad or missing data line {i}" if i >= 0 else "not a field snapshot"
             raise RepresentationError(f"{path}: {where}") from None
     data = (re + 1j * im).reshape((-1,) + grid.shape)

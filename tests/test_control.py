@@ -97,6 +97,17 @@ def test_config_validation():
         StepControlConfig(tol=1e-5, h_min=1.0, h_max=0.5)
     with pytest.raises(ConfigError):
         StepControlConfig(tol=1e-5, reject_threshold=0.5)
+    with pytest.raises(ConfigError, match="tol"):
+        StepControlConfig(tol=np.inf)
+
+
+@pytest.mark.parametrize("key", ["tol", "alpha", "alpha_min", "alpha_max", "order_p",
+                                 "h_init", "h_min", "h_max", "reject_threshold"])
+def test_config_refuses_nan_in_every_numeric_field(key):
+    # a NaN reject_threshold would reject every attempt while the estimates
+    # grow h, so the run would never reach h_min and never end
+    with pytest.raises(ConfigError):
+        StepControlConfig(**{"tol": 1e-5, key: np.nan})
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ def test_grid_rejects_bad_parameters():
     with pytest.raises(RepresentationError):
         TorusGrid(1, -1.0, 8)
     with pytest.raises(RepresentationError):
+        TorusGrid(1, np.inf, 8)
+    with pytest.raises(RepresentationError):
         TorusGrid(1, 1.0, 12)  # not a power of two
     with pytest.raises(RepresentationError):
         TorusGrid(1, 1.0, 2)  # too small
@@ -309,6 +311,9 @@ def test_snapshot_rejects_garbage(tmp_path):
         ("splitstep-field 1 1.5 1.0 8 1\n0.0 0.0\n" + body, "not a field snapshot"),
         ("splitstep-field 1 1 1.0 8 -1\n", "not a field snapshot"),
         ("splitstep-field 1 1 1.0 8 1\n" + body, "bad or missing data line 7"),
+        # a header the grid refuses: no infinite spacing, no bare grid error
+        ("splitstep-field 1 1 inf 8 1\n0.0 0.0\n" + body, "not a field snapshot"),
+        ("splitstep-field 1 1 -1.0 8 1\n0.0 0.0\n" + body, "not a field snapshot"),
     ]:
         p.write_text(text)
         with pytest.raises(RepresentationError, match=where):
