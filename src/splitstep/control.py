@@ -68,10 +68,10 @@ class StepControlConfig:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if not 0 < self.alpha <= 1:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.alpha_min < 1 < self.alpha_max:
-            raise ConfigError("need 0 < alpha_min < 1 < alpha_max")
-        if not 0 < self.h_min <= self.h_max:
-            raise ConfigError("need 0 < h_min <= h_max")
+        if not 0 < self.alpha_min < 1 < self.alpha_max < np.inf:
+            raise ConfigError("need 0 < alpha_min < 1 < alpha_max < inf")
+        if not (0 < self.h_min < np.inf and self.h_min <= self.h_max):
+            raise ConfigError("need 0 < h_min <= h_max and h_min < inf")
         if not self.reject_threshold >= 1.0:
             raise ConfigError(f"reject_threshold must be >= 1, got {self.reject_threshold}: "
                               "below 1 would reject accepted-quality steps")
@@ -79,8 +79,8 @@ class StepControlConfig:
         if p is not None and (isinstance(p, bool) or not isinstance(p, Integral) or p < 1):
             raise ConfigError(f"order_p must be an integer >= 1, got {p!r}")
         h = self.h_init
-        if h is not None and (isinstance(h, bool) or not isinstance(h, Real) or not h > 0):
-            raise ConfigError(f"h_init must be a positive number, got {h!r}")
+        if h is not None and (isinstance(h, bool) or not isinstance(h, Real) or not 0 < h < np.inf):
+            raise ConfigError(f"h_init must be a positive finite number, got {h!r}")
         if self.norm not in ("l2", "max"):
             raise ConfigError(f"norm must be 'l2' or 'max', got {self.norm!r}")
         for flag in ("local_extrapolation", "project_real"):

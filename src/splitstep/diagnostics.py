@@ -3,21 +3,21 @@
 Error measurement conventions:
 
 * Reference solutions are fixed-step runs of the highest-order
-  registered parabolic-safe scheme, with the step halved until two
-  consecutive answers agree below the requested floor.  The last halving
-  delta is reported as the reference floor.
+  registered parabolic-safe scheme.  Both kinds, over the whole span and
+  over one step, climb one ladder, :func:`_ladder`: the step is halved
+  until two consecutive answers agree to the goal in every norm, or
+  until the largest delta stops shrinking, which means roundoff, so the
+  rung before is the reference.  The deltas of the rung used are
+  reported as its floor.  A ladder that reaches neither within its
+  halvings raises :class:`ReferenceAccuracyError`.
+* The global goal is the requested target per norm, or else 1e-10
+  relative.  Local errors compare one step S(h, u0) against a one-step
+  reference from 8 substeps, with one goal for every norm: 1% of the
+  smallest quantity being measured (estimator deviations included),
+  floored at 1e-12 of the rung's L2 norm and at 1e-15.
 * Convergence slopes are least-squares fits of log(error) against
   log(h).  Points within 10x of the reference floor are excluded from
   the fit; series whose every point sits at the floor are flagged exact.
-* Local errors compare one step S(h, u0) against a reference over
-  [t0, t0 + h] whose substeps are doubled until the largest delta
-  between consecutive rungs is below 1% of the smallest quantity being
-  measured (including estimator deviations), or until it stops
-  shrinking.  The latter means roundoff: finer rungs only gather
-  rounding error, so the rung before is the reference.  The deltas of
-  the rung used are reported as the local floor.
-* Both ladders draw their rungs from one generator, :func:`_halvings`,
-  and differ only in their stop rules.
 * Fixed-step solves from the initial state go through a
   :class:`FixedSolves` memo, so studies of several subjects on one
   problem run each reference rung once.
@@ -116,7 +116,7 @@ def reference_solution(
 
     ``target`` maps Sobolev index s to the acceptable floor; None means
     1e-10 relative to the solution norm.  Returns (state, info) with
-    info = {"scheme", "h", "floor": {s: last halving delta}}; the state
+    info = {"scheme", "h", "floor": {s: the rung's delta}}; the state
     is read-only.  ``solves`` shares the ladder's solves with other
     callers from the same (prob, f0).
     """
@@ -127,35 +127,41 @@ def reference_solution(
     if span <= 0:
         return f0, {"scheme": scheme.name, "h": 0.0, "floor": {s: 0.0 for s in norms}}
     solves = _solves_for(prob, f0, solves)
-    floor = {}
-    rungs = _halvings(solves, scheme, t0, t_end, h0 if h0 is not None else span / 64.0,
-                      norms, max_halvings)
-    for h, cur, floor in rungs:
-        goals = [
-            target[s] if target is not None and s in target
-            else 1e-10 * max(sobolev_norm(cur, s), 1e-30)
-            for s in norms
-        ]
-        if all(floor[s] <= goal for s, goal in zip(norms, goals)):
-            return cur, {"scheme": scheme.name, "h": h, "floor": floor}
-    raise ReferenceAccuracyError(
-        f"reference with {scheme.name} did not reach the floor after "
-        f"{max_halvings} halvings (last delta {floor})"
-    )
+
+    def goals(cur):
+        return {s: target[s] if target is not None and s in target
+                else 1e-10 * max(sobolev_norm(cur, s), 1e-30) for s in norms}
+
+    h, cur, floor = _ladder(solves, scheme, t0, t_end, h0 if h0 is not None else span / 64.0,
+                            norms, goals, max_halvings)
+    return cur, {"scheme": scheme.name, "h": h, "floor": floor}
 
 
-def _halvings(solves, scheme, t0, t_end, h, norms, n):
-    """Run the fixed-step solve at h, then yield (step, state, deltas) for
-    h/2, h/4, ... (n rungs) through ``solves``; deltas[s] is the rung's
-    distance from the rung before in norm s.  Halving is exact, so the
-    steps are bitwise h/2^k and share memo keys with any other caller.
+def _ladder(solves, scheme, t0, t_end, h, norms, goals, n):
+    """Fixed-step solves through ``solves`` at h, h/2, ... (n halvings).
+
+    Returns (step, state, deltas) of the first rung whose deltas (its
+    distance from the rung before, per norm) all meet ``goals(state)``;
+    or, once the largest delta stops shrinking, of the rung before: the
+    rungs have reached roundoff.  Halving is exact, so the steps are
+    bitwise h/2^k and share memo keys with any other caller.
     """
     prev = solves.run(scheme, t0, t_end, h)
+    last, deltas = None, {}
     for _ in range(n):
         h *= 0.5
         cur = solves.run(scheme, t0, t_end, h)
-        yield h, cur, {s: _err(cur, prev, s) for s in norms}
-        prev = cur
+        deltas = {s: _err(cur, prev, s) for s in norms}
+        if last is not None and max(deltas.values()) >= max(last[2].values()):
+            return last
+        bound = goals(cur)
+        if all(deltas[s] <= bound[s] for s in norms):
+            return h, cur, deltas
+        prev, last = cur, (h, cur, deltas)
+    raise ReferenceAccuracyError(
+        f"reference with {scheme.name} over [{t0!r}, {t_end!r}] did not reach its goal "
+        f"after {n} halvings (last delta {deltas})"
+    )
 
 
 def fit_loglog(hs, errs):
@@ -293,23 +299,13 @@ def convergence_study(
 
 
 def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=10):
-    """Reference over [t0, t0+h] from ``solves``, resolved to 1% of the
-    smallest quantity under study: the one-step errors per norm, and for
-    pairs also the estimator deviation and the controller's local error.
-
-    Each rung doubles the substeps (8, 16, ...) and its deltas are its
-    distance from the rung before, per norm.  The ladder stops when the
-    largest delta meets the goal, and returns that rung; or when the
-    largest delta no longer shrinks, because the rungs have reached
-    roundoff and finer ones only gather rounding error, and returns the
-    rung before; or after ``max_halvings`` rungs, and returns the last.
-    Returns (state, deltas): the deltas of the returned rung are the
-    floor the caller reports.
+    """Reference over [t0, t0+h] from ``solves``: the :func:`_ladder` from
+    8 substeps, resolved to 1% of the smallest quantity under study: the
+    one-step errors per norm, and for pairs also the estimator deviation
+    and the controller's local error.  Returns (state, deltas): the deltas
+    of the returned rung are the floor the caller reports.
     """
-    prev = prev_deltas = None
-    for _, cur, deltas in _halvings(solves, ref_scheme, t0, t0 + h, h / 8, norms, max_halvings):
-        if prev is not None and max(deltas.values()) >= max(prev_deltas.values()):
-            return prev, prev_deltas
+    def goals(cur):
         needs = [_err(u1, cur, s) for s in norms]
         if res is not None:
             # for a pair, u1 is res.u_next: reuse its L2 error
@@ -319,10 +315,10 @@ def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=
         # 1% of the smallest quantity measured, floored at 1e-12 of the
         # rung's L2 norm and at 1e-15; one goal shared by every norm
         goal = 1e-2 * max(min(needs), 1e-12 * sobolev_norm(cur, 0.0), 1e-15)
-        if max(deltas.values()) <= goal:
-            return cur, deltas
-        prev, prev_deltas = cur, deltas
-    return prev, prev_deltas
+        return dict.fromkeys(norms, goal)
+
+    _, cur, deltas = _ladder(solves, ref_scheme, t0, t0 + h, h / 8, norms, goals, max_halvings)
+    return cur, deltas
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,10 @@ def compare_config(**over):
         # JSON's NaN and Infinity literals parse; a control block refuses them
         ("run", gs_config(control={"tol": 1e-4, "reject_threshold": math.nan}), "run.control"),
         ("run", gs_config(control={"tol": math.inf}), "run.control"),
+        # an infinite h_min used to reject a whole-span step and exit 3
+        ("run", gs_config(control={"tol": 1e-4, "h_min": math.inf}), "run.control: need 0 < h_min"),
+        ("run", gs_config(control={"tol": 1e-4, "h_init": math.inf}), "run.control: h_init"),
+        ("run", gs_config(control={"tol": 1e-4, "alpha_max": math.inf}), "run.control: need"),
         ("compare", compare_config(control={"reject_threshold": math.nan}), "compare.control"),
     ],
 )

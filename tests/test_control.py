@@ -99,6 +99,13 @@ def test_config_validation():
         StepControlConfig(tol=1e-5, reject_threshold=0.5)
     with pytest.raises(ConfigError, match="tol"):
         StepControlConfig(tol=np.inf)
+    # infinite step bounds and growth guard are refused, not run
+    with pytest.raises(ConfigError, match="h_min"):
+        StepControlConfig(tol=1e-5, h_min=np.inf)
+    with pytest.raises(ConfigError, match="h_init"):
+        StepControlConfig(tol=1e-5, h_init=np.inf)
+    with pytest.raises(ConfigError, match="alpha_max"):
+        StepControlConfig(tol=1e-5, alpha_max=np.inf)
 
 
 @pytest.mark.parametrize("key", ["tol", "alpha", "alpha_min", "alpha_max", "order_p",

@@ -432,19 +432,43 @@ def test_convergence_study_refuses_unknown_kinds(what):
                           what=what)
 
 
-def test_one_step_ladder_out_of_rungs_returns_the_last_rung_and_its_deltas():
+def test_one_step_ladder_out_of_rungs_raises():
     # u1 is a finer reference, so 1% of its error is out of reach of the
-    # one rung allowed: the ladder ends on its rung count, at h/16
+    # one rung allowed: the ladder runs out of rungs at h/16 and gives up
     prob, f = lin_prob(), lin_state()
     ref_scheme = REG.highest_order_scheme(arity=prob.arity)
     h, norms = 0.1, (0.0, 1.0)
     solves = RecordingSolves(prob, f)
     u1 = solves.run(ref_scheme, 0.0, h, h / 256)
     solves.calls.clear()
-    ref, deltas = _one_step_reference(solves, ref_scheme, 0.0, h, norms, u1, None,
-                                      max_halvings=1)
+    with pytest.raises(ReferenceAccuracyError, match="1 halvings"):
+        _one_step_reference(solves, ref_scheme, 0.0, h, norms, u1, None, max_halvings=1)
     assert [n for n, _ in solves.calls] == [8, 16]
-    coarse, fine = (state for _, state in solves.calls)
-    assert ref is fine
-    assert deltas == {s: _err(fine, coarse, s) for s in norms}
-    assert max(deltas.values()) > 1e-2 * min(_err(u1, fine, s) for s in norms)
+
+
+class BoundedSolves(RecordingSolves):
+    """RecordingSolves that fails the test past ``limit`` solves."""
+
+    def __init__(self, prob, f0, limit):
+        super().__init__(prob, f0)
+        self.limit = limit
+
+    def run(self, scheme, t0, t_end, h):
+        assert len(self.calls) < self.limit, "the ladder halved past its roundoff floor"
+        return super().run(scheme, t0, t_end, h)
+
+
+def test_reference_below_roundoff_returns_the_rung_before_the_stall():
+    # a target below roundoff is never met: the deltas stop shrinking
+    # near 3e-14, and the ladder must stop there instead of halving on
+    # to its cap (64 * 2^10 steps)
+    prob, f = lin_prob(), lin_state()
+    solves = BoundedSolves(prob, f, limit=9)
+    ref, info = reference_solution(prob, f, 0.0, 0.2, target={0.0: 1e-300},
+                                   max_halvings=10, solves=solves)
+    states = [state for _, state in solves.calls]
+    assert ref is states[-2] and info["h"] == 0.2 / solves.calls[-2][0]
+    # the floor is the returned rung's delta, and the next delta is no smaller
+    assert info["floor"] == {0.0: _err(states[-2], states[-3], 0.0)}
+    assert _err(states[-1], states[-2], 0.0) >= info["floor"][0.0]
+    assert info["floor"][0.0] <= 1e-12

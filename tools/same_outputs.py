@@ -12,8 +12,9 @@ each tree, in a fresh temporary directory per run, the script
 * runs each config of ``PROBLEM_CONFIGS`` (small ``run`` configs that take
   every problem and every problem key, ``linear`` and ``diffusion``,
   ``rk4_substep`` and ``dealias`` among them, through the CLI's problem
-  table, and one adaptive run with snapshots) the same way, writing the
-  config into the run's directory;
+  table, one adaptive run with snapshots, and a ``converge`` of two
+  subjects on the linear problem) the same way, writing the config into
+  the run's directory;
 * runs ``splitstep schemes`` and collects the listing it prints;
 * saves a scheme file with a fresh-named pair of every kind (a Milne pair
   with complex gamma among them) through ``save_scheme_file``, lists it
@@ -84,17 +85,28 @@ PROBLEM_CONFIGS = {
     "gray_scott_abc_dealias": {
         "problem": {**_GS, "name": "gray_scott_abc", "dealias": True},
         "run": {**_ADAPTIVE, "pair": "lie3-avg"}},
+    # the CLI's linear problem has no potential, so every splitting is exact:
+    # each shared ladder, global and one-step, meets its goal's floor at the
+    # first halving, and both subjects are flagged exact
+    "linear_converge": {
+        "problem": {**_LINEAR, "diffusion": 0.2},
+        "converge": {"subjects": ["strang", "lie-milne"], "hs": [0.02, 0.01], "t_end": 0.2,
+                     "norms": [0.0, 1.0], "what": ["local", "global"]}},
 }
 
-# Writes one config of PROBLEM_CONFIGS and runs it.
+# Writes one config of PROBLEM_CONFIGS and runs its subcommand.
 PROBLEM_JOB = """
 import json, sys
 from splitstep.cli import main
 
 with open("cfg.json", "w") as fh:
     json.dump({cfg!r}, fh)
-sys.exit(main(["run", "--config", "cfg.json", "--out", "."]))
+sys.exit(main([{cmd!r}, "--config", "cfg.json", "--out", "."]))
 """
+
+
+def _subcommand(blocks: dict) -> str:
+    return next(k for k in SUBCOMMANDS if k in blocks)
 
 
 def _jobs() -> list:
@@ -102,12 +114,13 @@ def _jobs() -> list:
     jobs = []
     for cfg in sorted((ROOT / "perfbench" / "configs").glob("*.json")):
         with open(cfg) as fh:
-            blocks = json.load(fh)
-        cmd = next(k for k in SUBCOMMANDS if k in blocks)
+            cmd = _subcommand(json.load(fh))
         argv = ["-m", "splitstep.cli", cmd, "--config", str(cfg), "--out", "."]
         jobs.append((f"cli {cfg.stem}", argv, cmd == "converge"))
     for name, cfg in PROBLEM_CONFIGS.items():
-        jobs.append((f"cli {name}", ["-c", PROBLEM_JOB.format(cfg=cfg)], False))
+        cmd = _subcommand(cfg)
+        jobs.append((f"cli {name}", ["-c", PROBLEM_JOB.format(cfg=cfg, cmd=cmd)],
+                     cmd == "converge"))
     jobs.append(("cli schemes", ["-m", "splitstep.cli", "schemes"], True))
     jobs.append(("scheme file", ["-c", SCHEME_FILE_JOB], True))
     for demo in sorted((ROOT / "demos").glob("0[1-5]_*.py")):
