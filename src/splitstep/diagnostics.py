@@ -2,19 +2,23 @@
 
 Error measurement conventions:
 
-* Reference solutions are fixed-step runs of the highest-order
-  registered parabolic-safe scheme.  Both kinds, over the whole span and
-  over one step, climb one ladder, :func:`_ladder`: the step is halved
-  until two consecutive answers agree to the goal in every norm, or
-  until the largest delta stops shrinking, which means roundoff, so the
-  rung before is the reference.  The deltas of the rung used are
-  reported as its floor.  A ladder that reaches neither within its
-  halvings raises :class:`ReferenceAccuracyError`.
-* The global goal is the requested target per norm, or else 1e-10
-  relative.  Local errors compare one step S(h, u0) against a one-step
-  reference from 8 substeps, with one goal for every norm: 1% of the
-  smallest quantity being measured (estimator deviations included),
-  floored at 1e-12 of the rung's L2 norm and at 1e-15.
+* Reference solutions extrapolate fixed-step runs of the registry's
+  reference scheme (``strang``, or ``strang3`` for three operators).
+  Both kinds, over the whole span and over one step, build one
+  Richardson tableau, :func:`_ladder`, halving the step until two
+  consecutive diagonal entries agree to the goal in every norm, or until
+  the largest delta stops shrinking, which means roundoff, so the entry
+  before is the reference.  The deltas of the entry used are reported as
+  its floor.  A rung whose solve fails drops the rows so far and the
+  halving goes on; a tableau that reaches no answer within its halvings
+  raises :class:`ReferenceAccuracyError`.
+* The global reference starts at the finest subject step, so a strang
+  subject's solves are its first rungs; its goal is the requested target
+  per norm, or else 1e-10 relative.  Local errors compare one step
+  S(h, u0) against a one-step reference from one substep, with one goal
+  for every norm: 1% of the smallest quantity being measured (estimator
+  deviations included), floored at 1e-12 of the entry's L2 norm and at
+  1e-15.
 * Convergence slopes are least-squares fits of log(error) against
   log(h).  Points within 10x of the reference floor are excluded from
   the fit; series whose every point sits at the floor are flagged exact.
@@ -38,9 +42,10 @@ from .control import (
     integrate_fixed,
 )
 from .estimators import _match_space, estimate_step
-from .exceptions import ConfigError, ReferenceAccuracyError
+from .exceptions import ConfigError, NumericalError, ReferenceAccuracyError
 from .problems import GrayScottParams, SplitProblem, _gs_rhs_a, _gs_rhs_b, gs_commutator
-from .schemes import SchemePair, SchemeRegistry, SplittingScheme, builtin_registry, compose_step
+from .schemes import (SchemePair, SchemeRegistry, SplittingScheme, builtin_registry,
+                      compose_step, is_self_adjoint)
 from .spectral import Field, _write_lines, sobolev_norm
 
 __all__ = [
@@ -85,10 +90,15 @@ class FixedSolves:
         state = self._states.get(key)
         if state is None:
             out, _ = integrate_fixed(self.prob, scheme, self.f0, t0, t_end, h)
-            data = out.data.view()
-            data.flags.writeable = False
-            state = self._states[key] = Field._of(out.grid, data, out.space)
+            state = self._states[key] = _read_only(out)
         return state
+
+
+def _read_only(f: Field) -> Field:
+    """``f`` on a read-only view of its values."""
+    data = f.data.view()
+    data.flags.writeable = False
+    return Field._of(f.grid, data, f.space)
 
 
 def _solves_for(prob: SplitProblem, f0: Field, solves: Optional[FixedSolves]) -> FixedSolves:
@@ -112,7 +122,8 @@ def reference_solution(
     max_halvings: int = 16,
     solves: Optional[FixedSolves] = None,
 ):
-    """Fixed-step reference with step halving until self-consistency.
+    """Fixed-step reference, extrapolated over step halvings until
+    self-consistency (:func:`_ladder`).
 
     ``target`` maps Sobolev index s to the acceptable floor; None means
     1e-10 relative to the solution norm.  Returns (state, info) with
@@ -122,7 +133,7 @@ def reference_solution(
     """
     if scheme is None:
         reg = registry if registry is not None else builtin_registry()
-        scheme = reg.highest_order_scheme(arity=prob.arity)
+        scheme = reg.reference_scheme(arity=prob.arity)
     span = t_end - t0
     if span <= 0:
         return f0, {"scheme": scheme.name, "h": 0.0, "floor": {s: 0.0 for s in norms}}
@@ -138,30 +149,49 @@ def reference_solution(
 
 
 def _ladder(solves, scheme, t0, t_end, h, norms, goals, n):
-    """Fixed-step solves through ``solves`` at h, h/2, ... (n halvings).
+    """Richardson tableau over fixed-step solves through ``solves`` at h,
+    h/2, ... (n halvings).
 
-    Returns (step, state, deltas) of the first rung whose deltas (its
-    distance from the rung before, per norm) all meet ``goals(state)``;
-    or, once the largest delta stops shrinking, of the rung before: the
-    rungs have reached roundoff.  Halving is exact, so the steps are
-    bitwise h/2^k and share memo keys with any other caller.
+    Column j removes the error term of order p + 2(j-1) when ``scheme``
+    is self-adjoint (its error expands in even powers of h), else of order
+    p + j - 1.  A rung's deltas are the distance of its diagonal entry
+    from the one before, per norm.  Returns (step, entry, deltas) of the
+    first rung whose deltas all meet ``goals(entry)``; or, once the
+    largest delta stops shrinking, of the rung before: roundoff.  A rung
+    whose solve fails is unresolved, as a failed trial step is in
+    ``control.step_adaptive``: the rows so far are dropped.  Halving is
+    exact, so the steps are bitwise h/2^k and share memo keys with any
+    other caller.  Extrapolated entries are read-only, and not memo
+    states.
     """
-    prev = solves.run(scheme, t0, t_end, h)
-    last, deltas = None, {}
-    for _ in range(n):
-        h *= 0.5
-        cur = solves.run(scheme, t0, t_end, h)
-        deltas = {s: _err(cur, prev, s) for s in norms}
-        if last is not None and max(deltas.values()) >= max(last[2].values()):
-            return last
-        bound = goals(cur)
-        if all(deltas[s] <= bound[s] for s in norms):
-            return h, cur, deltas
-        prev, last = cur, (h, cur, deltas)
+    gain = 2 if is_self_adjoint(scheme) else 1
+    row, last, deltas, failed = [], None, {}, None
+    for k in range(n + 1):
+        if k:
+            h *= 0.5
+        try:
+            entry = solves.run(scheme, t0, t_end, h)
+        except NumericalError as exc:
+            row, last, deltas, failed = [], None, {}, exc
+            continue
+        new = [entry]
+        for j, before in enumerate(row):
+            weight = 1.0 / (2.0 ** (scheme.order + gain * j) - 1.0)
+            entry = _read_only(entry + (entry - _match_space(entry, before)) * weight)
+            new.append(entry)
+        if row:
+            deltas = {s: _err(entry, row[-1], s) for s in norms}
+            if last is not None and max(deltas.values()) >= max(last[2].values()):
+                return last
+            bound = goals(entry)
+            if all(deltas[s] <= bound[s] for s in norms):
+                return h, entry, deltas
+            last = (h, entry, deltas)
+        row, failed = new, None
     raise ReferenceAccuracyError(
         f"reference with {scheme.name} over [{t0!r}, {t_end!r}] did not reach its goal "
         f"after {n} halvings (last delta {deltas})"
-    )
+    ) from failed
 
 
 def fit_loglog(hs, errs):
@@ -235,7 +265,7 @@ def convergence_study(
     pair = subject if isinstance(subject, SchemePair) else None
     scheme = pair.integrator if pair else subject
     reg = registry if registry is not None else builtin_registry()
-    ref_scheme = reg.highest_order_scheme(arity=prob.arity)
+    ref_scheme = reg.reference_scheme(arity=prob.arity)
     hs = np.asarray(sorted(hs, reverse=True), dtype=float)
     norms = tuple(norms)
     rep = ConvergenceReport(name=pair.name if pair else scheme.name, hs=hs, norms=norms)
@@ -243,15 +273,19 @@ def convergence_study(
     if "global" in what:
         # bootstrap the accuracy target from a provisional reference;
         # the relative floor keeps exact splittings (error = roundoff)
-        # from demanding an unreachable reference
-        prov = solves.run(ref_scheme, t0, t_end, min(hs) / 8.0)
-        fmin = solves.run(scheme, t0, t_end, min(hs))
+        # from demanding an unreachable reference.  Both start at the
+        # finest subject step, so a subject of the reference scheme
+        # shares its solves with them.
+        h0 = min(hs)
+        prov, _ = reference_solution(prob, f0, t0, t_end, scheme=ref_scheme, h0=h0,
+                                     norms=norms, solves=solves)
+        fmin = solves.run(scheme, t0, t_end, h0)
         target = {
             s: max(1e-2 * _err(fmin, prov, s), 1e-12 * sobolev_norm(prov, s), 1e-14)
             for s in norms
         }
         ref_state, ref_info = reference_solution(
-            prob, f0, t0, t_end, scheme=ref_scheme, h0=min(hs) / 8.0,
+            prob, f0, t0, t_end, scheme=ref_scheme, h0=h0,
             target=target, norms=norms, solves=solves,
         )
         rep.ref_floor = dict(ref_info["floor"])
@@ -300,7 +334,7 @@ def convergence_study(
 
 def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=10):
     """Reference over [t0, t0+h] from ``solves``: the :func:`_ladder` from
-    8 substeps, resolved to 1% of the smallest quantity under study: the
+    one substep, resolved to 1% of the smallest quantity under study: the
     one-step errors per norm, and for pairs also the estimator deviation
     and the controller's local error.  Returns (state, deltas): the deltas
     of the returned rung are the floor the caller reports.
@@ -317,7 +351,7 @@ def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=
         goal = 1e-2 * max(min(needs), 1e-12 * sobolev_norm(cur, 0.0), 1e-15)
         return dict.fromkeys(norms, goal)
 
-    _, cur, deltas = _ladder(solves, ref_scheme, t0, t0 + h, h / 8, norms, goals, max_halvings)
+    _, cur, deltas = _ladder(solves, ref_scheme, t0, t0 + h, h, norms, goals, max_halvings)
     return cur, deltas
 
 

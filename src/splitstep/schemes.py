@@ -355,13 +355,23 @@ class SchemeRegistry:
     def pair(self, name: str) -> SchemePair:
         return self._get(self.pairs, "pair", name)
 
-    def highest_order_scheme(self, arity: int = 2) -> SplittingScheme:
-        """Best parabolic-safe scheme for reference solves: a negative
-        A-time would run diffusion backward."""
-        candidates = [s for s in self.schemes.values() if s.arity == arity and s.parabolic_safe]
+    def reference_scheme(self, arity: int = 2) -> SplittingScheme:
+        """Base scheme of reference solves: the one with the fewest flows
+        that is self-adjoint, parabolic-safe and real (``strang`` for two
+        operators, ``strang3`` for three; the first registered wins a tie).
+
+        Self-adjoint, because its error expands in even powers of h, which
+        the reference's Richardson tableau turns into two orders per
+        column; parabolic-safe, because a negative A-time runs diffusion
+        backward; real, because a complex word costs complex states.  No
+        consistent self-adjoint scheme has fewer flows than Strang, so a
+        scheme file loaded after the builtins cannot displace it.
+        """
+        candidates = [s for s in self.schemes.values() if s.arity == arity
+                      and s.parabolic_safe and not s.is_complex and is_self_adjoint(s)]
         if not candidates:
-            raise ConfigError(f"no registered scheme of arity {arity}")
-        return max(candidates, key=lambda s: (s.order, -s.flow_evals))
+            raise ConfigError(f"no self-adjoint, parabolic-safe real scheme of arity {arity}")
+        return min(candidates, key=lambda s: s.flow_evals)
 
 
 def _emb2c_stages():

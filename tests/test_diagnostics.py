@@ -11,6 +11,7 @@ from splitstep import (
     ReferenceAccuracyError,
     StepControlConfig,
     TorusGrid,
+    VdpParams,
     builtin_registry,
     commutator_check,
     compose_step,
@@ -24,9 +25,11 @@ from splitstep import (
     reference_solution,
     sobolev_norm,
     to_nodal,
+    van_der_pol_problem,
     write_convergence_csv,
     write_efficiency_csv,
 )
+from splitstep import diagnostics
 from splitstep.diagnostics import FixedSolves, _err, _one_step_reference
 
 REG = builtin_registry()
@@ -77,7 +80,7 @@ def test_reference_solution_matches_dense_exponential():
     prob, f = lin_prob(), lin_state()
     t_end = 0.3
     ref, info = reference_solution(prob, f, 0.0, t_end)
-    assert info["scheme"] == "comp3c"  # highest-order parabolic-safe builtin
+    assert info["scheme"] == "strang"  # the builtin reference scheme of two operators
     exact = expm_dense(dense_generator(prob) * t_end) @ f.data[0]
     err = np.max(np.abs(to_nodal(ref).data[0] - exact)) / np.max(np.abs(exact))
     assert err <= 1e-8
@@ -120,15 +123,29 @@ class RecordingSolves(FixedSolves):
         return state
 
 
+def richardson_diagonal(states, order):
+    """Diagonal entries T[k][k] of the Richardson tableau over ``states``,
+    the solves of a self-adjoint scheme of ``order`` at h, h/2, ...:
+    T[k][j] = T[k][j-1] + (T[k][j-1] - T[k-1][j-1]) / (2^(order + 2(j-1)) - 1)."""
+    above, diagonal = [], []
+    for state in states:
+        row = [state]
+        for j, before in enumerate(above, start=1):
+            row.append(row[-1] + (row[-1] - before) * (1.0 / (2.0 ** (order + 2 * (j - 1)) - 1.0)))
+        diagonal.append(row[-1])
+        above = row
+    return diagonal
+
+
 def test_one_step_ladder_stops_at_the_roundoff_floor():
     # Gray-Scott, 1D n=128, gs_bump, emb23c at h=0.01: the goal (1% of the
     # estimator deviation) lies below the H1 roundoff floor, so only the
-    # stopping rule ends the ladder
+    # stopping rule ends the tableau
     grid = TorusGrid(1, np.pi, 128)
     prob = gray_scott_problem(grid, GrayScottParams())
     f0 = initial_condition("gs_bump", grid)
     pair = REG.pair("emb23c")
-    ref_scheme = REG.highest_order_scheme(arity=prob.arity)
+    ref_scheme = REG.reference_scheme(arity=prob.arity)
     h, norms = 0.01, (0.0, 1.0)
     u1 = compose_step(pair.integrator, prob, h, f0)
     res = estimate_step(pair, prob, h, f0)
@@ -136,12 +153,14 @@ def test_one_step_ladder_stops_at_the_roundoff_floor():
     ref, deltas = _one_step_reference(solves, ref_scheme, 0.0, h, norms, u1, res)
 
     substeps = [n for n, _ in solves.calls]
-    assert max(substeps) <= 64, substeps
-    i = next(k for k, (_, state) in enumerate(solves.calls) if state is ref)
-    assert i >= 1 and substeps[i] == 2 * substeps[i - 1]
-    # the floor reported is the delta of the rung returned
-    before = solves.calls[i - 1][1]
-    assert deltas == {s: _err(ref, before, s) for s in norms}
+    assert substeps == [2**k for k in range(len(substeps))]
+    assert max(substeps) <= 16, substeps  # the comp3c ladder ran to 64
+    # the reference is a diagonal entry of the tableau, not a memo state
+    diagonal = richardson_diagonal([state for _, state in solves.calls], ref_scheme.order)
+    i = next(k for k, entry in enumerate(diagonal) if np.array_equal(entry.data, ref.data))
+    assert i >= 1 and all(ref is not state for _, state in solves.calls)
+    # the floor reported is the distance of that entry from the diagonal entry before
+    assert deltas == {s: _err(ref, diagonal[i - 1], s) for s in norms}
 
     oracle = rk4(lambda y: to_nodal(prob.full_rhs(y)), to_nodal(f0), h, 200)
     assert sobolev_norm(to_nodal(ref) - oracle, 0.0) <= 1e-13
@@ -157,7 +176,12 @@ def test_reference_rungs_are_exact_halvings_of_h0():
     assert substeps == [8 * 2**k for k in range(len(substeps))]
     # the returned step is the last rung requested, bitwise h0 / 2^k
     assert info["h"] == h0 / 2 ** (len(substeps) - 1)
-    assert solves.calls[-1][1] is ref
+    # the returned state is the last diagonal entry: read-only, and no memo state
+    states = [state for _, state in solves.calls]
+    assert np.array_equal(ref.data, richardson_diagonal(states, 2)[-1].data)
+    assert all(ref is not state for state in states)
+    with pytest.raises(ValueError):
+        ref.data[0, 0] = 1.0
 
 
 def test_fixed_solves_hands_out_one_read_only_state_per_key():
@@ -434,16 +458,16 @@ def test_convergence_study_refuses_unknown_kinds(what):
 
 def test_one_step_ladder_out_of_rungs_raises():
     # u1 is a finer reference, so 1% of its error is out of reach of the
-    # one rung allowed: the ladder runs out of rungs at h/16 and gives up
+    # one halving allowed: the tableau runs out of rungs at h/2 and gives up
     prob, f = lin_prob(), lin_state()
-    ref_scheme = REG.highest_order_scheme(arity=prob.arity)
+    ref_scheme = REG.reference_scheme(arity=prob.arity)
     h, norms = 0.1, (0.0, 1.0)
     solves = RecordingSolves(prob, f)
     u1 = solves.run(ref_scheme, 0.0, h, h / 256)
     solves.calls.clear()
     with pytest.raises(ReferenceAccuracyError, match="1 halvings"):
         _one_step_reference(solves, ref_scheme, 0.0, h, norms, u1, None, max_halvings=1)
-    assert [n for n, _ in solves.calls] == [8, 16]
+    assert [n for n, _ in solves.calls] == [1, 2]
 
 
 class BoundedSolves(RecordingSolves):
@@ -459,16 +483,67 @@ class BoundedSolves(RecordingSolves):
 
 
 def test_reference_below_roundoff_returns_the_rung_before_the_stall():
-    # a target below roundoff is never met: the deltas stop shrinking
-    # near 3e-14, and the ladder must stop there instead of halving on
-    # to its cap (64 * 2^10 steps)
+    # a target below roundoff is never met: the diagonal deltas stop
+    # shrinking near 4e-15, and the tableau must stop there instead of
+    # halving on to its cap (64 * 2^10 steps)
     prob, f = lin_prob(), lin_state()
     solves = BoundedSolves(prob, f, limit=9)
     ref, info = reference_solution(prob, f, 0.0, 0.2, target={0.0: 1e-300},
                                    max_halvings=10, solves=solves)
-    states = [state for _, state in solves.calls]
-    assert ref is states[-2] and info["h"] == 0.2 / solves.calls[-2][0]
-    # the floor is the returned rung's delta, and the next delta is no smaller
-    assert info["floor"] == {0.0: _err(states[-2], states[-3], 0.0)}
-    assert _err(states[-1], states[-2], 0.0) >= info["floor"][0.0]
+    diagonal = richardson_diagonal([state for _, state in solves.calls], 2)
+    assert np.array_equal(ref.data, diagonal[-2].data)
+    assert info["h"] == 0.2 / solves.calls[-2][0]
+    # the floor is the returned entry's delta, and the next delta is no smaller
+    assert info["floor"] == {0.0: _err(diagonal[-2], diagonal[-3], 0.0)}
+    assert _err(diagonal[-1], diagonal[-2], 0.0) >= info["floor"][0.0]
     assert info["floor"][0.0] <= 1e-12
+
+
+def stiff_vdp():
+    # van der Pol, eps 1e-2, 1D n=64, vdp_gaussians over [0, 1]: a fixed-step
+    # comp3c solve blows up at h = 1/64, a Strang solve does not
+    grid = TorusGrid(1, np.pi, 64)
+    return van_der_pol_problem(grid, VdpParams(eps=1e-2)), initial_condition("vdp_gaussians", grid)
+
+
+def test_default_reference_on_stiff_van_der_pol_reaches_its_floor():
+    prob, f = stiff_vdp()
+    ref, info = reference_solution(prob, f, 0.0, 1.0)
+    assert info["scheme"] == "strang"
+    assert info["floor"][0.0] <= 1e-10 * sobolev_norm(ref, 0.0)
+
+
+def test_reference_rung_whose_solve_fails_is_unresolved():
+    prob, f = stiff_vdp()
+    solves = RecordingSolves(prob, f)
+    goal = 1e-6 * sobolev_norm(f, 0.0)
+    ref, info = reference_solution(prob, f, 0.0, 1.0, scheme=REG.scheme("comp3c"),
+                                   target={0.0: goal}, solves=solves)
+    assert info["scheme"] == "comp3c" and info["floor"][0.0] <= goal
+    # the first rung, 64 steps, blew up: the tableau starts at 128
+    substeps = [n for n, _ in solves.calls]
+    assert substeps == [128 * 2**k for k in range(len(substeps))]
+
+
+def test_global_reference_starts_on_the_strang_subject_solves(monkeypatch):
+    solved = []
+    real = diagnostics.integrate_fixed
+
+    def counted(prob, scheme, f0, t0, t_end, h):
+        solved.append((scheme.name, h))
+        return real(prob, scheme, f0, t0, t_end, h)
+
+    monkeypatch.setattr(diagnostics, "integrate_fixed", counted)
+    prob, f = lin_prob(), lin_state()
+    hs = [0.02, 0.01, 0.005]
+    solves = RecordingSolves(prob, f)
+    rep = convergence_study(prob, REG.scheme("strang"), f, 0.0, 0.2, hs, what=("global",),
+                            solves=solves)
+    assert rep.global_slopes[0.0] == pytest.approx(2.0, abs=0.15)
+    # the tableau's first rung is the subject's finest step, solved once for both
+    assert solves.calls[0][0] == round(0.2 / 0.005)
+    assert solved.count(("strang", 0.005)) == 1
+    # every other solve is a subject step or a finer reference rung
+    rungs = sorted({h for name, h in solved if h < 0.005}, reverse=True)
+    assert rungs == [0.005 / 2**k for k in range(1, len(rungs) + 1)]
+    assert sorted(solved, reverse=True) == [("strang", h) for h in hs + rungs]

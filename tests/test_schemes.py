@@ -390,15 +390,35 @@ def test_registry_unknown_lookup_lists_choices():
         REG.pair("nope")
 
 
-def test_highest_order_scheme_selection():
-    assert REG.highest_order_scheme(2).name == "comp3c"
-    assert REG.highest_order_scheme(3).name == "strang3"
-    back = SplittingScheme("unsafe9", 9, ((-0.5, 0.5), (1.5, 0.5)))
+def test_reference_scheme_selection():
+    assert REG.reference_scheme(2).name == "strang"
+    assert REG.reference_scheme(3).name == "strang3"
+    # loaded schemes do not displace strang: none has fewer flows, and a tie
+    # goes to the first registered
     reg = builtin_registry()
-    reg.add(back)
-    assert reg.highest_order_scheme(2).name == "comp3c"  # unsafe excluded
-    with pytest.raises(ConfigError):
-        SchemeRegistry().highest_order_scheme(2)
+    reg.add(SplittingScheme("strang-b", 2, ((0.0, 0.5), (1.0, 0.5))))
+    assert is_self_adjoint(reg.scheme("strang-b"))
+    assert reg.reference_scheme(2).name == "strang"
+    # no candidate: lie is not self-adjoint, comp3c is complex, and Yoshida's
+    # real fourth-order triple jump runs a negative A-time
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    w0 = 1.0 - 2.0 * w1
+    yoshida = SplittingScheme("yoshida4", 4, ((w1 / 2, w1), ((w1 + w0) / 2, w0),
+                                              ((w0 + w1) / 2, w1), (w1 / 2, 0.0)))
+    assert is_self_adjoint(yoshida) and not yoshida.parabolic_safe
+    reg = SchemeRegistry()
+    for scheme in (REG.scheme("lie"), REG.scheme("comp3c"), yoshida):
+        reg.add(scheme)
+    with pytest.raises(ConfigError, match="arity 2"):
+        reg.reference_scheme(2)
+    with pytest.raises(ConfigError, match="arity 3"):
+        reg.reference_scheme(3)
+    # among candidates the fewest flows win: two Strang half steps (5
+    # flows) until the B-first Strang step (3 flows) is registered
+    reg.add(SplittingScheme("strang-x2", 2, ((0.25, 0.5), (0.5, 0.5), (0.25, 0.0))))
+    assert reg.reference_scheme(2).name == "strang-x2"
+    reg.add(SplittingScheme("strang-b", 2, ((0.0, 0.5), (1.0, 0.5))))
+    assert reg.reference_scheme(2).name == "strang-b"
 
 
 # ---------------------------------------------------------------------------
