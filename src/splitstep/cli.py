@@ -35,6 +35,7 @@ from .control import StepControlConfig, integrate_adaptive, integrate_fixed, wri
 from .diagnostics import (
     _KINDS,
     FixedSolves,
+    _study_inputs,
     convergence_study,
     efficiency_compare,
     write_convergence_csv,
@@ -141,8 +142,6 @@ _positives = _checked(_floats, lambda xs: xs and all(0 < x < np.inf for x in xs)
                       "a non-empty list of positive finite numbers")
 _indices = _checked(_floats, lambda xs: all(0 <= s < np.inf for s in xs), "finite indices >= 0")
 _times = _checked(_floats, lambda xs: np.isfinite(xs).all(), "a list of finite numbers")
-_kinds = _checked(lambda v: tuple(_strings(v)), lambda v: set(v) <= set(_KINDS),
-                  "entries 'local' or 'global'")
 
 
 def _params(cls):
@@ -287,8 +286,9 @@ def _cmd_converge(args) -> int:
              or [_value(ccfg, "converge", "subject", str)])
     subjects = [(name, reg.pairs.get(name) or reg.scheme(name)) for name in names]
     hs = _value(ccfg, "converge", "hs", _positives)
-    norms = tuple(_value(ccfg, "converge", "norms", _indices, [0.0]))
-    what = _value(ccfg, "converge", "what", _kinds, _KINDS)
+    norms = _value(ccfg, "converge", "norms", _indices, [0.0])
+    what = _value(ccfg, "converge", "what", _strings, _KINDS)
+    _study_inputs(t0, t_end, hs, norms, what, "config: converge.")  # refused before any solve
     out = _out_dir(args)
     meta = _provenance(args, cfg)
     # the subjects share every fixed-step solve from f0 (reference ladders

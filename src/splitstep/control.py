@@ -182,11 +182,12 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
         h = h_next
 
 
-def _default_h_init(cfg: StepControlConfig, pair: SchemePair, span: float) -> float:
-    if cfg.h_init is not None:
-        return cfg.h_init
+def _first_step(cfg: StepControlConfig, pair: SchemePair, span: float) -> float:
+    """:func:`integrate_adaptive`'s first step: ``cfg.h_init`` or span *
+    tol^(1/(p+1)), at most the span, clipped to [h_min, h_max]."""
     p = cfg.order_p if cfg.order_p is not None else pair.order
-    return span * cfg.tol ** (1.0 / (p + 1))
+    h = cfg.h_init if cfg.h_init is not None else span * cfg.tol ** (1.0 / (p + 1))
+    return float(min(cfg.h_max, max(cfg.h_min, min(h, span))))
 
 
 def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
@@ -210,8 +211,7 @@ def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
         return f0, traj
     start = time.perf_counter()
     span = t_end - t0
-    h = min(_default_h_init(cfg, pair, span), span)
-    h = float(min(cfg.h_max, max(cfg.h_min, h)))
+    h = _first_step(cfg, pair, span)
     t, f = t0, f0
     n_acc = 0
     while t < t_end:

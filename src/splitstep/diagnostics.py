@@ -12,13 +12,13 @@ Error measurement conventions:
   its floor.  A rung whose solve fails drops the rows so far and the
   halving goes on; a tableau that reaches no answer within its halvings
   raises :class:`ReferenceAccuracyError`.
-* The global reference starts at the finest subject step, so a strang
-  subject's solves are its first rungs; its goal is the requested target
-  per norm, or else 1e-10 relative.  Local errors compare one step
+* A convergence study's global reference starts at the finest subject
+  step, so a strang subject's solves are its first rungs; its goal per
+  norm is 1% of that solve's distance from the entry, floored at 1e-12
+  of the entry's norm and at 1e-14.  Local errors compare one step
   S(h, u0) against a one-step reference from one substep, with one goal
   for every norm: 1% of the smallest quantity being measured (estimator
-  deviations included), floored at 1e-12 of the entry's L2 norm and at
-  1e-15.
+  deviations included), floored at 1e-12 of the entry's L2 norm and 1e-15.
 * Convergence slopes are least-squares fits of log(error) against
   log(h).  Points within 10x of the reference floor are excluded from
   the fit; series whose every point sits at the floor are flagged exact.
@@ -36,7 +36,7 @@ import numpy as np
 
 from .control import (
     StepControlConfig,
-    _default_h_init,
+    _first_step,
     calibrate_initial_step,
     integrate_adaptive,
     integrate_fixed,
@@ -257,38 +257,30 @@ def convergence_study(
     and the controller's own local error.  ``solves`` is a
     :class:`FixedSolves` memo for (prob, f0) shared by the studies of
     several subjects; their fixed-step solves (global errors, references,
-    one-step ladders) then run once.
+    one-step ladders) then run once.  Inputs it cannot measure (empty or
+    repeated norms or hs, no kind, global errors at an h above the span)
+    raise ConfigError before any solve.
     """
-    if isinstance(what, str) or not set(what) <= set(_KINDS):
-        raise ConfigError(f"what entries must be 'local' or 'global', got {what!r}")
+    hs, norms = _study_inputs(t0, t_end, hs, norms, what)
     solves = _solves_for(prob, f0, solves)
     pair = subject if isinstance(subject, SchemePair) else None
     scheme = pair.integrator if pair else subject
     reg = registry if registry is not None else builtin_registry()
     ref_scheme = reg.reference_scheme(arity=prob.arity)
-    hs = np.asarray(sorted(hs, reverse=True), dtype=float)
-    norms = tuple(norms)
     rep = ConvergenceReport(name=pair.name if pair else scheme.name, hs=hs, norms=norms)
 
     if "global" in what:
-        # bootstrap the accuracy target from a provisional reference;
-        # the relative floor keeps exact splittings (error = roundoff)
-        # from demanding an unreachable reference.  Both start at the
-        # finest subject step, so a subject of the reference scheme
-        # shares its solves with them.
-        h0 = min(hs)
-        prov, _ = reference_solution(prob, f0, t0, t_end, scheme=ref_scheme, h0=h0,
-                                     norms=norms, solves=solves)
-        fmin = solves.run(scheme, t0, t_end, h0)
-        target = {
-            s: max(1e-2 * _err(fmin, prov, s), 1e-12 * sobolev_norm(prov, s), 1e-14)
-            for s in norms
-        }
-        ref_state, ref_info = reference_solution(
-            prob, f0, t0, t_end, scheme=ref_scheme, h0=h0,
-            target=target, norms=norms, solves=solves,
-        )
-        rep.ref_floor = dict(ref_info["floor"])
+        # the tableau starts at the finest subject step, so a subject of the
+        # reference scheme shares its solves; the relative floor keeps exact
+        # splittings (error = roundoff) from demanding an unreachable reference
+        fmin = solves.run(scheme, t0, t_end, hs[-1])
+
+        def goals(cur):
+            return {s: max(1e-2 * _err(fmin, cur, s), 1e-12 * sobolev_norm(cur, s), 1e-14)
+                    for s in norms}
+
+        _, ref_state, rep.ref_floor = _ladder(solves, ref_scheme, t0, t_end, hs[-1], norms,
+                                              goals, 16)
         finals = [solves.run(scheme, t0, t_end, h) for h in hs]
         rep.global_ = {s: np.array([_err(fh, ref_state, s) for fh in finals]) for s in norms}
 
@@ -324,12 +316,24 @@ def convergence_study(
             slopes[s], rep.points_used[(kind, s)] = _fit_above_floor(hs, errs, floor.get(s, 0.0))
 
     # exact-flow detection: every measured error at the floor
-    all_series = list(rep.local.values()) + list(rep.global_.values())
-    if all_series:
-        floors = {**rep.ref_floor, **rep.local_floor}
-        top = max(10.0 * max(floors.values(), default=0.0), 1e-13)
-        rep.exact = all(np.all(series <= top) for series in all_series)
+    floors = {**rep.ref_floor, **rep.local_floor}
+    top = max(10.0 * max(floors.values()), 1e-13)
+    rep.exact = all(np.all(errs <= top) for errs in [*rep.local.values(), *rep.global_.values()])
     return rep
+
+
+def _study_inputs(t0, t_end, hs, norms, what, where=""):
+    """(hs in descending order, norms) of a study, or a ConfigError naming the
+    input it cannot measure after ``where``; global errors clip h > span."""
+    hs, norms = sorted((float(h) for h in hs), reverse=True), tuple(norms)
+    if not what or not set(what) <= set(_KINDS):  # a string is a set of letters
+        raise ConfigError(f"{where}what: expected 'local' and/or 'global', got {what!r}")
+    if not norms or len(set(norms)) < len(norms):
+        raise ConfigError(f"{where}norms: expected distinct indices, got {list(norms)!r}")
+    if not hs or len(set(hs)) < len(hs) or ("global" in what and hs[0] > t_end - t0):
+        raise ConfigError(f"{where}hs: expected distinct steps, none above the span "
+                          f"{t_end - t0!r} when global errors are measured, got {hs!r}")
+    return np.asarray(hs), norms
 
 
 def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=10):
@@ -385,14 +389,16 @@ def efficiency_compare(
     """Adaptive run versus equidistant run at the smallest accepted step.
 
     With ``calibrate`` (default) the initial step is settled onto the
-    tolerance plateau first, from the guess :func:`integrate_adaptive`
-    would start with, so the startup ramp does not dominate the
-    minimum.  The final clipped landing step is likewise excluded from
-    the minimum.  The equidistant run uses the bare integrator.
+    tolerance plateau first, from the step :func:`integrate_adaptive`
+    would start with and with h_max capped at the span, so that no probe
+    is a step the run cannot take and the startup ramp does not dominate
+    the minimum.  The final clipped landing step is likewise excluded
+    from the minimum.  The equidistant run uses the bare integrator.
     """
     if calibrate and cfg.h_init is None:
-        h0 = calibrate_initial_step(prob, pair, f0, cfg, h0=_default_h_init(cfg, pair, t_end - t0))
-        cfg = replace(cfg, h_init=min(h0, t_end - t0))
+        probe = replace(cfg, h_max=max(cfg.h_min, min(cfg.h_max, t_end - t0)))
+        h0 = _first_step(probe, pair, t_end - t0)
+        cfg = replace(cfg, h_init=calibrate_initial_step(prob, pair, f0, probe, h0=h0))
     _, traj = integrate_adaptive(prob, pair, f0, t0, t_end, cfg)
     acc = traj.accepted_steps()
     body = acc[:-1] if len(acc) > 1 else acc
@@ -443,8 +449,7 @@ def commutator_check(f: Field, params: GrayScottParams, eps: float = 1e-3) -> Co
     c1 = fd_bracket(eps)
     c2 = fd_bracket(eps / 2.0)
     richardson = (4.0 / 3.0) * c2 - (1.0 / 3.0) * c1
-    scale = max(sobolev_norm(com, 0.0), 1e-30)
-    rel = sobolev_norm(com - _match_space(com, richardson), 0.0) / scale
+    rel = _err(com, richardson, 0.0) / max(sobolev_norm(com, 0.0), 1e-30)
     return CommutatorReport(value=com, fd_value=richardson, rel_difference=rel, eps=eps)
 
 

@@ -455,6 +455,14 @@ def compare_config(**over):
         ("run", gs_config(control={"tol": 1e-4, "h_init": math.inf}), "run.control: h_init"),
         ("run", gs_config(control={"tol": 1e-4, "alpha_max": math.inf}), "run.control: need"),
         ("compare", compare_config(control={"reject_threshold": math.nan}), "compare.control"),
+        # inputs a convergence study cannot measure: no norm or kind, a norm
+        # or step twice, and steps a global error would clip to one step
+        ("converge", converge_config(norms=[]), "converge.norms"),
+        ("converge", converge_config(norms=[0, 0]), "converge.norms"),
+        ("converge", converge_config(what=[]), "converge.what"),
+        ("converge", converge_config(hs=[0.02, 0.02]), "converge.hs"),
+        ("converge", converge_config(hs=[0.8, 0.4], t_end=0.2, subject="strang",
+                                     what=["global"]), "converge.hs"),
     ],
 )
 def test_malformed_config_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,

@@ -323,6 +323,25 @@ def test_efficiency_compare_initial_guess_honours_order_p(monkeypatch):
     assert len(seen) == 2
 
 
+@pytest.mark.parametrize("cfg", [StepControlConfig(tol=1e-6, h_max=1e-4),
+                                 StepControlConfig(tol=4.0)])
+def test_efficiency_compare_probes_no_step_the_run_cannot_take(monkeypatch, cfg):
+    # calibration starts from integrate_adaptive's clipped first step and
+    # stays within h_max and the span, as every step of the run does
+    import splitstep.control as control
+
+    trials = []
+    real = control.estimate_step
+
+    def spy(pair, prob, h, f, **kw):
+        trials.append(h)
+        return real(pair, prob, h, f, **kw)
+
+    monkeypatch.setattr(control, "estimate_step", spy)
+    efficiency_compare(lin_prob(), REG.pair("lie-avg"), lin_state(), 0.0, 0.5, cfg)
+    assert trials and max(trials) <= min(cfg.h_max, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # commutator check
 
@@ -447,13 +466,35 @@ def test_local_only_pair_csv_lists_each_series_once_in_order(tmp_path):
     assert slopes == ["series=local", "series=est_deviation", "series=ctrl_local"]
 
 
-@pytest.mark.parametrize("what", [("locl",), "local", ("local", "both")])
+@pytest.mark.parametrize("what", [("locl",), "local", ("local", "both"), ()])
 def test_convergence_study_refuses_unknown_kinds(what):
     from splitstep import ConfigError
 
     with pytest.raises(ConfigError, match="what"):
         convergence_study(lin_prob(), REG.scheme("lie"), lin_state(), 0.0, 0.2, [0.01],
                           what=what)
+
+
+@pytest.mark.parametrize("hs, norms, what, key", [
+    ([0.01], (), ("local",), "norms"),
+    ([0.01], (1.0, 1.0), ("local",), "norms"),
+    ([], (0.0,), ("local",), "hs"),
+    ([0.01, 0.01], (0.0,), ("local",), "hs"),
+    ([0.8, 0.4], (0.0,), ("global",), "hs"),
+])
+def test_convergence_study_refuses_norms_and_steps_it_cannot_measure(hs, norms, what, key):
+    from splitstep import ConfigError
+
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        convergence_study(lin_prob(), REG.scheme("strang"), lin_state(), 0.0, 0.2, hs,
+                          norms=norms, what=what)
+
+
+def test_local_study_takes_steps_above_the_span():
+    # one-step errors do not depend on the span; only global ones are clipped
+    rep = convergence_study(lin_prob(), REG.scheme("lie"), lin_state(), 0.0, 0.2, [0.8, 0.4],
+                            what=("local",))
+    assert np.all(rep.local[0.0] > 0)
 
 
 def test_one_step_ladder_out_of_rungs_raises():
@@ -547,3 +588,25 @@ def test_global_reference_starts_on_the_strang_subject_solves(monkeypatch):
     rungs = sorted({h for name, h in solved if h < 0.005}, reverse=True)
     assert rungs == [0.005 / 2**k for k in range(1, len(rungs) + 1)]
     assert sorted(solved, reverse=True) == [("strang", h) for h in hs + rungs]
+
+
+def test_global_reference_of_a_stiff_lie_study_stops_on_the_study_goal(monkeypatch):
+    # the tableau's goal is 1% of the finest lie error, not 1e-10 relative:
+    # 3 subject solves (175 steps) and 4 strang rungs from h = 0.005 (1,500
+    # steps); a provisional 1e-10 reference first ran 10 solves, 12,875 steps
+    solved = []
+    real = diagnostics.integrate_fixed
+
+    def counted(prob, scheme, f0, t0, t_end, h):
+        state, traj = real(prob, scheme, f0, t0, t_end, h)
+        solved.append(len(traj.records))
+        return state, traj
+
+    monkeypatch.setattr(diagnostics, "integrate_fixed", counted)
+    prob, f = stiff_vdp()
+    rep = convergence_study(prob, REG.scheme("lie"), f, 0.0, 0.5, [0.02, 0.01, 0.005],
+                            norms=(0.0, 1.0), what=("global",))
+    assert len(solved) <= 7 and sum(solved) <= 1675
+    # the floor meets the error term of the study's goal in every norm
+    for s in (0.0, 1.0):
+        assert rep.ref_floor[s] <= 1e-2 * rep.global_[s][-1]

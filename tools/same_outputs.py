@@ -12,9 +12,9 @@ each tree, in a fresh temporary directory per run, the script
 * runs each config of ``PROBLEM_CONFIGS`` (small ``run`` configs that take
   every problem and every problem key, ``linear`` and ``diffusion``,
   ``rk4_substep`` and ``dealias`` among them, through the CLI's problem
-  table, one adaptive run with snapshots, and a ``converge`` of two
-  subjects on the linear problem) the same way, writing the config into
-  the run's directory;
+  table, one adaptive run with snapshots, a ``converge`` of two subjects
+  on the linear problem and one of three on stiff van der Pol) the same
+  way, writing the config into the run's directory;
 * runs ``splitstep schemes`` and collects the listing it prints;
 * saves a scheme file with a fresh-named pair of every kind (a Milne pair
   with complex gamma among them) through ``save_scheme_file``, lists it
@@ -92,6 +92,13 @@ PROBLEM_CONFIGS = {
         "problem": {**_LINEAR, "diffusion": 0.2},
         "converge": {"subjects": ["strang", "lie-milne"], "hs": [0.02, 0.01], "t_end": 0.2,
                      "norms": [0.0, 1.0], "what": ["local", "global"]}},
+    # stiff van der Pol: a low-order subject's global reference needs far
+    # less than 1e-10 relative, so its tableau stops on the study's own goal
+    "vdp_converge": {
+        "problem": {"name": "van_der_pol", "dim": 1, "n": 64, "params": {"eps": 0.01},
+                    "initial": "vdp_gaussians"},
+        "converge": {"subjects": ["lie", "lie-milne", "strang"], "hs": [0.02, 0.01, 0.005],
+                     "t_end": 0.5, "norms": [0.0, 1.0], "what": ["local", "global"]}},
 }
 
 # Writes one config of PROBLEM_CONFIGS and runs its subcommand.

@@ -61,10 +61,7 @@ class _Run:
         self.ctrl = control.StepControlConfig(**run.get("control", {}))
         self.step = control.step_adaptive
         self.t0, self.t_end = float(run.get("t0", 0.0)), float(run["t_end"])
-        # integrate_adaptive's first step size
-        span = self.t_end - self.t0
-        h = min(control._default_h_init(self.ctrl, self.pair, span), span)
-        self.h0 = float(min(self.ctrl.h_max, max(self.ctrl.h_min, h)))
+        self.h0 = control._first_step(self.ctrl, self.pair, self.t_end - self.t0)
 
     def time(self, n: int) -> tuple:
         """(seconds, accepted steps, attempts) of the first ``n`` steps."""
