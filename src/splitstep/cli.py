@@ -9,12 +9,13 @@ Subcommands::
 
 The config is a single JSON file with a "problem" block plus one block
 per subcommand; see the README for the full schema.  Every value is read
-through one reader (``_checked`` builds most of them) and every block
-refuses the keys it does not read, all before any solve; the problems
-and the keys each takes live in one table, ``_PROBLEMS``, and the keys of
-each run mode in ``_RUN_MODES``.  Exit codes are a
-stable contract: 0 success, 2 configuration/input errors, 3 numerical
-failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
+through ``spectral._value``, the one JSON value reader that scheme files
+use too (``_checked`` builds most of the converters), and every block
+refuses the keys it does not read through ``spectral._only``, all before
+any solve; the problems and the keys each takes live in one table,
+``_PROBLEMS``, and the keys of each run mode in ``_RUN_MODES``.  Exit
+codes are a stable contract: 0 success, 2 configuration/input errors, 3
+numerical failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
 Runs of the same config and scheme files produce byte-identical
 trajectory and convergence CSVs; the compare command embeds wall-clock
 timings, which naturally vary.
@@ -52,7 +53,8 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import Field, TorusGrid, _read_object, _write_lines, write_field
+from .spectral import (Field, TorusGrid, _as_is, _checked, _only, _read_object, _value,
+                       _write_lines, write_field)
 
 __all__ = ["main"]
 
@@ -76,9 +78,6 @@ def _provenance(args, cfg) -> dict:
 # Every command reads its values through _block and _value before any
 # solve starts, so a malformed value exits 2 and names its block and key;
 # errors raised later, inside the numerical run, are not translated.
-_REQUIRED = object()
-
-
 def _block(cfg: dict, name: str) -> dict:
     try:
         block = cfg[name]
@@ -87,39 +86,6 @@ def _block(cfg: dict, name: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"config: {name!r} block must be an object, got {block!r}")
     return block
-
-
-def _value(block: dict, where: str, key: str, convert=float, default=_REQUIRED):
-    """block[key] passed through ``convert``, or ``default`` when absent."""
-    if key not in block:
-        if default is _REQUIRED:
-            raise ConfigError(f"config: {where!r} block needs {key!r}")
-        return default
-    try:
-        return convert(block[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config: {where}.{key}: {exc}") from None
-
-
-def _only(block: dict, where: str, keys) -> None:
-    """Refuse every key of ``block`` outside ``keys``: a typo is not dropped."""
-    stray = set(block) - set(keys)
-    if stray:
-        raise ConfigError(f"config: {where} takes no {sorted(stray)}")
-
-
-def _checked(convert, ok, want):
-    """A reader: ``convert`` the value, then refuse it unless ``ok`` holds."""
-    def read(v):
-        x = convert(v)
-        if not ok(x):
-            raise ValueError(f"expected {want}, got {v!r}")
-        return x
-    return read
-
-
-def _as_is(v):
-    return v
 
 
 def _floats(v) -> list:
@@ -184,8 +150,8 @@ def _build_problem(cfg: dict, seed=None):
             ic_args["seed"] = seed
         f0 = initial_condition(_value(pcfg, "problem", "initial", str, "gs_bump"),
                                grid, **ic_args)
-    except (RepresentationError, TypeError) as exc:
-        # bad grid dims, unknown preset or its arguments: user input
+    except (RepresentationError, TypeError, ValueError, OverflowError) as exc:
+        # bad grid dims, unknown preset or its arguments (a negative seed): user input
         raise ConfigError(f"problem block: {exc}") from exc
     if f0.m != prob.m:
         raise ConfigError(f"initial condition has {f0.m} components, problem needs {prob.m}")
@@ -202,7 +168,7 @@ def _control_config(block: dict, where: str) -> StepControlConfig:
     except TypeError as exc:
         raise ConfigError(f"control block: {exc}") from exc
     except ConfigError as exc:
-        raise ConfigError(f"config: {where}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _setup(args, command: str, keys):
@@ -219,7 +185,7 @@ def _setup(args, command: str, keys):
     t_end = _value(block, command, "t_end", _finite)
     # a zero span is a no-op for run, but leaves converge and compare nothing to measure
     if command != "run" and not t_end > t0:
-        raise ConfigError(f"config: {command}: t_end={t_end!r} must exceed t0={t0!r}")
+        raise ConfigError(f"{command}: t_end={t_end!r} must exceed t0={t0!r}")
     return cfg, reg, prob, f0, block, t0, t_end
 
 
@@ -288,7 +254,7 @@ def _cmd_converge(args) -> int:
     hs = _value(ccfg, "converge", "hs", _positives)
     norms = _value(ccfg, "converge", "norms", _indices, [0.0])
     what = _value(ccfg, "converge", "what", _strings, _KINDS)
-    _study_inputs(t0, t_end, hs, norms, what, "config: converge.")  # refused before any solve
+    _study_inputs(t0, t_end, hs, norms, what, "converge.")  # refused before any solve
     out = _out_dir(args)
     meta = _provenance(args, cfg)
     # the subjects share every fixed-step solve from f0 (reference ladders

@@ -152,6 +152,25 @@ def _abort_at_h_min(h: float, cfg: StepControlConfig, what: str, reason: str):
         raise ToleranceAbortError(f"{what} rejected with h=h_min={cfg.h_min:g} ({reason})")
 
 
+def _order(cfg: StepControlConfig, pair: SchemePair) -> int:  # p of the update rule
+    return cfg.order_p if cfg.order_p is not None else pair.order
+
+
+def _trial(prob: SplitProblem, pair: SchemePair, h: float, f: Field,
+           cfg: StepControlConfig, p: int, records: list, t: Optional[float] = None):
+    """(estimate, h) of the first trial step from ``f`` whose flows do not
+    fail: a failed one is a rejection (est None, 0 flows) retried at
+    h*alpha_min, down to h_min.  ``t`` is None in calibration."""
+    while True:
+        try:
+            return estimate_step(pair, prob, h, f, norm=cfg.norm), h
+        except NumericalError as exc:
+            records.append(StepRecord(t, h, None, False, 0))
+            what = "calibration step" if t is None else f"step at t={t:g}"
+            _abort_at_h_min(h, cfg, what, f"trial step failed: {exc}")
+            h = next_step_size(h, np.inf, cfg, p)
+
+
 def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
                   f: Field, cfg: StepControlConfig):
     """Advance one accepted step, retrying with smaller h on rejection.
@@ -160,33 +179,24 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
     attempt including rejected ones.  A trial step whose flows fail is
     rejected too, with est None and 0 flow evaluations.
     """
-    p = cfg.order_p if cfg.order_p is not None else pair.order
+    p = _order(cfg, pair)
     records = []
     while True:
-        try:
-            res = estimate_step(pair, prob, h, f, norm=cfg.norm)
-        except NumericalError as exc:
-            # the trial state is discarded either way; shrink as for est = inf
-            records.append(StepRecord(t, h, None, False, 0))
-            reason = f"trial step failed: {exc}"
-            h_next = next_step_size(h, np.inf, cfg, p)
-        else:
-            accepted = res.est_norm <= cfg.reject_threshold * cfg.tol
-            records.append(StepRecord(t, h, res.est_norm, accepted, res.flow_evals))
-            h_next = next_step_size(h, res.est_norm, cfg, p)
-            if accepted:
-                out = res.u_control if cfg.local_extrapolation else res.u_next
-                return _finish(out, cfg), t + h, h_next, records
-            reason = f"est={res.est_norm:.3e} > tol={cfg.tol:g}"
-        _abort_at_h_min(h, cfg, f"step at t={t:g}", reason)
+        res, h = _trial(prob, pair, h, f, cfg, p, records, t)
+        accepted = res.est_norm <= cfg.reject_threshold * cfg.tol
+        records.append(StepRecord(t, h, res.est_norm, accepted, res.flow_evals))
+        h_next = next_step_size(h, res.est_norm, cfg, p)
+        if accepted:
+            out = res.u_control if cfg.local_extrapolation else res.u_next
+            return _finish(out, cfg), t + h, h_next, records
+        _abort_at_h_min(h, cfg, f"step at t={t:g}", f"est={res.est_norm:.3e} > tol={cfg.tol:g}")
         h = h_next
 
 
 def _first_step(cfg: StepControlConfig, pair: SchemePair, span: float) -> float:
     """:func:`integrate_adaptive`'s first step: ``cfg.h_init`` or span *
     tol^(1/(p+1)), at most the span, clipped to [h_min, h_max]."""
-    p = cfg.order_p if cfg.order_p is not None else pair.order
-    h = cfg.h_init if cfg.h_init is not None else span * cfg.tol ** (1.0 / (p + 1))
+    h = cfg.h_init if cfg.h_init is not None else span * cfg.tol ** (1.0 / (_order(cfg, pair) + 1))
     return float(min(cfg.h_max, max(cfg.h_min, min(h, span))))
 
 
@@ -267,17 +277,11 @@ def calibrate_initial_step(prob: SplitProblem, pair: SchemePair, f0: Field,
     step whose flows fail (stiff flows probed far beyond their stability
     range) is rejected as in :func:`step_adaptive`, down to h_min.
     """
-    p = cfg.order_p if cfg.order_p is not None else pair.order
+    p = _order(cfg, pair)
     h = h0
     for _ in range(iters):
-        while True:
-            try:
-                est = estimate_step(pair, prob, h, f0, norm=cfg.norm).est_norm
-                break
-            except NumericalError as exc:
-                _abort_at_h_min(h, cfg, "calibration step", f"trial step failed: {exc}")
-                h = next_step_size(h, np.inf, cfg, p)
-        h = next_step_size(h, est, cfg, p)
+        res, h = _trial(prob, pair, h, f0, cfg, p, [])
+        h = next_step_size(h, res.est_norm, cfg, p)
     return h
 
 

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, DegeneratePairWarning, SchemeFileError
-from .spectral import Field, _read_object, _write_lines
+from .spectral import Field, _as_is, _checked, _only, _read_object, _value, _write_lines
 from .problems import SplitProblem
 
 __all__ = [
@@ -340,7 +340,7 @@ class SchemeRegistry:
     def _get(table: dict, what: str, name: str):
         try:
             return table[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a list or object names nothing either
             raise ConfigError(f"unknown {what} {name!r}; available: {sorted(table)}") from None
 
     def add(self, scheme: SplittingScheme):
@@ -439,7 +439,7 @@ def builtin_registry() -> SchemeRegistry:
 #   {"name": str, "kind": "milne", "integrator": str, "partner": str,
 #    "gamma": number | [re, im]}
 #   {"name": str, "kind": "adjoint_average" | "palindromic", "integrator": str}
-# A pair entry takes only its kind's keys; any other key is refused.
+# An entry takes only its kind's keys, each read through spectral's _value.
 # ---------------------------------------------------------------------------
 
 def _parse_complex(x):
@@ -455,41 +455,35 @@ def _dump_complex(z: complex):
     return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
-_SCHEME_KEYS = {"name", "order", "stages", "parabolic_safe", "palindromic"}
-_PAIR_KEYS = {"name", "kind", "integrator"}.union(*map(dict, _PAIR_FIELDS.values()))
-_JSON_TYPES = {int: "an integer", str: "a string"}
-
-
-def _typed(entry: dict, key: str, kind: type, *default):
-    """entry[key] (or the default), refused unless it is a JSON value of ``kind``."""
-    x = entry.get(key, *default) if default else entry[key]
-    if not isinstance(x, kind) or isinstance(x, bool):
-        raise TypeError(f"{key!r} must be {_JSON_TYPES[kind]}, got {x!r}")
-    return x
+# JSON types are kept: an order of 1.0 or true is refused, not read as 1
+_string = _checked(_as_is, lambda v: isinstance(v, str), "a string")
+_integer = _checked(_as_is, lambda v: type(v) is int, "an integer")
+_kind = _checked(_as_is, lambda v: isinstance(v, str) and v in _PAIR_FIELDS,
+                 f"a pair kind, one of {sorted(_PAIR_FIELDS)}")
 
 
 def _scheme_from(entry: dict, registry: SchemeRegistry) -> SplittingScheme:
-    stages = tuple(tuple(_parse_complex(c) for c in st) for st in entry["stages"])
-    scheme = SplittingScheme(_typed(entry, "name", str), _typed(entry, "order", int), stages)
+    _only(entry, "scheme", ("name", "order", "stages", "parabolic_safe", "palindromic"))
+    scheme = SplittingScheme(
+        _value(entry, "scheme", "name", _string), _value(entry, "scheme", "order", _integer),
+        _value(entry, "scheme", "stages", lambda v: [list(map(_parse_complex, st)) for st in v]))
     for flag in ("parabolic_safe", "palindromic"):
         if flag in entry and bool(entry[flag]) != getattr(scheme, flag):
-            raise ValueError(f"declared {flag}={entry[flag]} but computed {getattr(scheme, flag)}")
+            raise ConfigError(f"declared {flag}={entry[flag]} but computed {getattr(scheme, flag)}")
     return scheme
 
 
 def _pair_from(entry: dict, registry: SchemeRegistry) -> SchemePair:
-    kind = entry["kind"]
-    stray = set(entry) - {"name", "kind", "integrator", *dict(_PAIR_FIELDS.get(kind, ()))}
-    if stray and kind in _PAIR_FIELDS:  # an unknown kind is refused by SchemePair
-        raise ValueError(f"a {kind!r} pair takes no {sorted(stray)}")
-    seconds = {k: registry.scheme(entry[k]) for k in ("controller", "partner") if k in entry}
+    kind = _value(entry, "pair", "kind", _kind)
+    _only(entry, f"a {kind!r} pair", {"name", "kind", "integrator", *dict(_PAIR_FIELDS[kind])})
     return SchemePair(
-        name=_typed(entry, "name", str),
+        name=_value(entry, "pair", "name", _string),
         kind=kind,
-        integrator=registry.scheme(entry["integrator"]),
-        gamma=_parse_complex(entry["gamma"]) if "gamma" in entry else None,
-        shared_prefix_len=_typed(entry, "shared_prefix_len", int, 0),
-        **seconds,
+        integrator=_value(entry, "pair", "integrator", registry.scheme),
+        controller=_value(entry, "pair", "controller", registry.scheme, None),
+        partner=_value(entry, "pair", "partner", registry.scheme, None),
+        gamma=_value(entry, "pair", "gamma", _parse_complex, None),
+        shared_prefix_len=_value(entry, "pair", "shared_prefix_len", _integer, 0),
     )
 
 
@@ -504,26 +498,20 @@ def load_scheme_file(registry: SchemeRegistry, path) -> None:
     if unknown:
         raise SchemeFileError(f"{path}: unknown top-level keys {sorted(unknown)}")
     # schemes first: the file's pairs may name its schemes
-    for key, label, keys, build, add in (
-        ("schemes", "scheme", _SCHEME_KEYS, _scheme_from, registry.add),
-        ("pairs", "pair", _PAIR_KEYS, _pair_from, registry.add_pair),
+    for key, label, build, add in (
+        ("schemes", "scheme", _scheme_from, registry.add),
+        ("pairs", "pair", _pair_from, registry.add_pair),
     ):
         entries = doc.get(key, [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise SchemeFileError(f"{path}: {key!r} must be a list of objects")
         for entry in entries:
-            where = f"{path}: {label} {entry.get('name', '?')!r}"
-            bad = set(entry) - keys
-            if bad:
-                raise SchemeFileError(f"{where}: unknown keys {sorted(bad)}")
-            # malformed values are wrapped here, once, with the file and entry
+            # every error of an entry is wrapped here, once, with the file and entry
             try:
-                item = build(entry, registry)
-            except KeyError as exc:
-                raise SchemeFileError(f"{where}: missing key {exc}") from exc
-            except (TypeError, ValueError, ConfigError) as exc:
-                raise SchemeFileError(f"{where}: {exc}") from exc
-            add(item)
+                add(build(entry, registry))
+            except ConfigError as exc:
+                raise SchemeFileError(
+                    f"{path}: {label} {entry.get('name', '?')!r}: {exc}") from exc
 
 
 def save_scheme_file(path, schemes=(), pairs=()) -> None:

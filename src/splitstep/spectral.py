@@ -45,7 +45,8 @@ convergence and efficiency CSVs, scheme files, the snapshot index) goes
 through one writer, ``_write_lines``: ``# key=value`` provenance lines,
 then the lines, each ending in a newline.  Every JSON file it reads (CLI
 configs, scheme files) goes through one reader, ``_read_object``, which
-requires a top-level object.
+requires a top-level object; ``_value`` reads each value in it, naming
+its block and key, and ``_only`` refuses the keys a block does not take.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import RepresentationError
+from .exceptions import ConfigError, RepresentationError
 
 __all__ = [
     "TorusGrid",
@@ -88,7 +89,7 @@ class TorusGrid:
     dim : int
         Spatial dimension, 1 to 3.
     a : float
-        Half-width of the periodic box; positive and finite.
+        Half-width of the periodic box; positive, with (pi/a)^2 and (2a)^dim finite.
     n : int
         Points per axis; a power of two, at least 4.
     """
@@ -100,8 +101,11 @@ class TorusGrid:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise RepresentationError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if not 0 < self.a < np.inf:
-            raise RepresentationError(f"half-width a must be positive and finite, got {self.a}")
+        with np.errstate(over="ignore"):  # positive first: no division by 0 or NaN
+            a = np.float64(self.a) if 0 < self.a else np.nan
+            if not np.isfinite([(np.pi / a) ** 2, (2.0 * a) ** self.dim]).all():
+                raise RepresentationError("half-width a must be positive, with (pi/a)^2 and "
+                                          f"(2a)^{self.dim} finite, got {self.a}")
         n = self.n
         if n < 4 or (n & (n - 1)) != 0:
             raise RepresentationError(f"n must be a power of two >= 4, got {n}")
@@ -454,11 +458,47 @@ def _read_object(path, error, what) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, too many digits or too deep
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: top level must be an object")
     return doc
+
+
+_REQUIRED = object()
+
+
+def _value(block: dict, where: str, key: str, convert=float, default=_REQUIRED):
+    """block[key] through ``convert``, or ``default`` if absent; a refusal names the key."""
+    if key not in block:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} needs {key!r}")
+        return default
+    try:
+        return convert(block[key])
+    except (TypeError, ValueError, OverflowError, ConfigError) as exc:
+        raise ConfigError(f"{where}.{key}: {exc}") from None
+
+
+def _only(block: dict, where: str, keys) -> None:
+    """Refuse every key of ``block`` outside ``keys``: a typo is not dropped."""
+    stray = set(block) - set(keys)
+    if stray:
+        raise ConfigError(f"{where} takes no {sorted(stray)}")
+
+
+def _checked(convert, ok, want):
+    """A reader: ``convert`` the value, then refuse it unless ``ok`` holds."""
+    def read(v):
+        x = convert(v)
+        if not ok(x):
+            raise ValueError(f"expected {want}, got {v!r}")
+        return x
+    return read
+
+
+def _as_is(v):
+    return v
 
 
 def _write_lines(path, lines, preamble=None) -> None:

@@ -435,6 +435,13 @@ def compare_config(**over):
         ("run", {**gs_config(), "problem": {**gs_config()["problem"], "dim": 1.7}}, "problem.dim"),
         ("run", {**gs_config(), "problem": {**gs_config()["problem"], "n": 32.9}}, "problem.n"),
         ("run", {**gs_config(), "problem": {**gs_config()["problem"], "a": "inf"}}, "problem.a"),
+        # a width whose wavenumber scale (pi/a)^2 or volume (2a)^dim overflows
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "a": 1e-300}}, "half-width a"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "a": 1e200, "dim": 2}},
+         "half-width a"),
+        # an initial-condition argument numpy refuses used to exit 1
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "initial": "random_smooth",
+                                            "initial_args": {"seed": -1}}}, "problem block"),
         ("run", gs_config(outputs=[["trajectory", "x.csv"]]), "run.outputs"),
         ("compare", compare_config(control=[["tol", 1e-3]]), "compare.control"),
         ("run", {**gs_config(), "problem": {**gs_config()["problem"],

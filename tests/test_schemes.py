@@ -537,6 +537,16 @@ _EMB = '"kind": "embedded", "integrator": "emb2c", "controller": "comp3c"'
         '{"schemes": [{"name": "x", "order": 1, "stages": [[NaN, 1.0]]}]}',
         '{"pairs": [{"name": "x", "kind": "milne", "integrator": "lie",'
         ' "partner": "lie*", "gamma": NaN}]}',
+        # a JSON integer too large for a float used to exit 1 with a traceback
+        pytest.param('{"schemes": [{"name": "x", "order": 1, "stages": [[%d, 1.0]]}]}'
+                     % 10**400, id="stage-10**400"),
+        pytest.param('{"pairs": [{"name": "x", "kind": "milne", "integrator": "lie",'
+                     ' "partner": "lie*", "gamma": %d}]}' % 10**400, id="gamma-10**400"),
+        # JSON that Python's parser refuses past its limits used to exit 1
+        pytest.param('{"schemes": [{"name": "x", "order": %s}]}' % ("1" * 5000), id="5000-digits"),
+        pytest.param('{"schemes": %s%s}' % ("[" * 100000, "]" * 100000), id="deep-nesting"),
+        # a builtin's name: the duplicate used to be reported without the file
+        '{"schemes": [{"name": "strang", "order": 2, "stages": [[0.5, 1.0], [0.5, 0.0]]}]}',
     ],
 )
 def test_malformed_scheme_file_values_exit_2_with_one_prefix(tmp_path, capsys, doc):

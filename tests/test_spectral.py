@@ -295,6 +295,24 @@ def test_snapshot_round_trip_converts_modal():
     assert np.array_equal(g.data, to_nodal(f).data)
 
 
+@pytest.mark.parametrize("dim, a", [(1, 0.0), (1, -1.0), (1, np.nan), (1, np.inf),
+                                    (1, 1e-300), (2, 1e200), (3, 1e200)])
+def test_grid_refuses_a_width_whose_scales_overflow(tmp_path, dim, a):
+    # (pi/a)^2 used to overflow in the Laplacian, and (2a)^dim in the volume
+    with pytest.raises(RepresentationError, match="half-width a"):
+        TorusGrid(dim, a, 8)
+    p = tmp_path / "wide.field"
+    p.write_text(f"splitstep-field 1 {dim} {a!r} 4 1\n" + "0.0 0.0\n" * 4**dim)
+    with pytest.raises(RepresentationError, match="not a field snapshot"):
+        read_field(p)
+
+
+def test_grid_takes_a_wide_or_narrow_width_whose_scales_stay_finite():
+    for dim, a in [(1, 1e200), (1, 1e-150), (3, 1e100)]:
+        grid = TorusGrid(dim, a, 8)
+        assert np.isfinite([grid.volume, grid.cell_volume, -laplacian_symbol(grid).max()]).all()
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     p = tmp_path / "bad.field"
     p.write_text("not a snapshot\n")
