@@ -9,10 +9,10 @@ Subcommands::
 
 The config is a single JSON file with a "problem" block plus one block
 per subcommand; see the README for the full schema.  Every value is read
-through ``spectral._value``, the one JSON value reader that scheme files
-use too (``_checked`` builds most of the converters), and every block
-refuses the keys it does not read through ``spectral._only``, all before
-any solve; the problems and the keys each takes live in one table,
+through ``spectral._value`` as in scheme files, each number, integer and
+flag by ``_number``, ``_integer`` or ``_bool``, and every block refuses
+the keys it does not read through ``spectral._only``, all before any
+solve; the problems and the keys each takes live in one table,
 ``_PROBLEMS``, and the keys of each run mode in ``_RUN_MODES``.  Exit
 codes are a stable contract: 0 success, 2 configuration/input errors, 3
 numerical failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
@@ -53,8 +53,8 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import (Field, TorusGrid, _as_is, _checked, _only, _read_object, _value,
-                       _write_lines, write_field)
+from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _integer, _number, _only,
+                       _read_object, _value, _write_lines, write_field)
 
 __all__ = ["main"]
 
@@ -91,18 +91,17 @@ def _block(cfg: dict, name: str) -> dict:
 def _floats(v) -> list:
     if not isinstance(v, list):
         raise TypeError(f"expected a list of numbers, got {v!r}")
-    return [float(x) for x in v]
+    return [_number(x) for x in v]
 
 
-# JSON types are kept: bool("false") is True and dict() takes a list of pairs
-_bool = _checked(_as_is, lambda v: isinstance(v, bool), "true or false")
+# JSON types are kept: dict() takes a list of pairs
 _object = _checked(_as_is, lambda v: isinstance(v, dict), "an object")
 _strings = _checked(_as_is, lambda v: isinstance(v, list)
                     and all(isinstance(x, str) for x in v), "a list of strings")
-_count = _checked(_as_is, lambda v: type(v) is int and v >= 1, "a positive integer")
-_finite = _checked(float, np.isfinite, "a finite number")
-_positive = _checked(float, lambda x: x > 0, "a positive number")
-_width = _checked(float, lambda x: 0 < x < np.inf, "a positive finite number")
+_count = _checked(_integer, lambda v: v >= 1, "a positive integer")
+_finite = _checked(_number, np.isfinite, "a finite number")
+_positive = _checked(_number, lambda x: x > 0, "a positive number")
+_width = _checked(_number, lambda x: 0 < x < np.inf, "a positive finite number")
 # steps and tolerances: an empty list would measure nothing
 _positives = _checked(_floats, lambda xs: xs and all(0 < x < np.inf for x in xs),
                       "a non-empty list of positive finite numbers")
@@ -111,7 +110,7 @@ _times = _checked(_floats, lambda xs: np.isfinite(xs).all(), "a list of finite n
 
 
 def _params(cls):
-    return lambda v: cls(**{key: float(x) for key, x in _object(v).items()})
+    return lambda v: cls(**{key: _number(x) for key, x in _object(v).items()})
 
 
 # Each problem's factory, by its name in this module, and one reader per
@@ -125,7 +124,7 @@ _PROBLEMS = {
     "gray_scott_abc": ("gray_scott_abc_problem", {
         "params": _params(GrayScottParams), "dealias": _bool}),
     "van_der_pol": ("van_der_pol_problem", {"params": _params(VdpParams)}),
-    "linear": ("linear_problem", {"diffusion": float}),
+    "linear": ("linear_problem", {"diffusion": _number}),
 }
 
 
@@ -280,9 +279,7 @@ def _cmd_compare(args) -> int:
         args, "compare", ("pair", "control", "tols", "out", "calibrate"))
     pair = reg.pair(_value(ccfg, "compare", "pair", str))
     base = _value(ccfg, "compare", "control", _object, {})
-    tols = _value(ccfg, "compare", "tols", _positives, None)
-    if tols is None:
-        tols = [_value(base, "compare.control", "tol", float, 1e-4)]
+    tols = _value(ccfg, "compare", "tols", _positives, None) or [base.get("tol", 1e-4)]
     ctrls = [_control_config({**base, "tol": tol}, "compare.control") for tol in tols]
     out_file = _value(ccfg, "compare", "out", os.fspath, "efficiency.csv")
     calibrate = _value(ccfg, "compare", "calibrate", _bool, True)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
-from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
@@ -26,7 +25,7 @@ from .exceptions import ConfigError, NumericalError, ToleranceAbortError
 from .estimators import estimate_step
 from .problems import SplitProblem
 from .schemes import SchemePair, SplittingScheme, compose_step
-from .spectral import Field, _write_lines, to_nodal
+from .spectral import Field, _bool, _integer, _number, _write_lines, to_nodal
 
 __all__ = [
     "StepControlConfig",
@@ -39,6 +38,11 @@ __all__ = [
     "calibrate_initial_step",
     "write_trajectory_csv",
 ]
+
+
+_READERS = {"order_p": _integer, "local_extrapolation": _bool, "project_real": _bool,
+            **dict.fromkeys(("tol", "alpha", "alpha_min", "alpha_max", "h_init", "h_min", "h_max",
+                             "reject_threshold"), _number)}
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,12 @@ class StepControlConfig:
     project_real: bool = False
 
     def __post_init__(self):
+        for key, read in _READERS.items():  # each number, integer and flag by its reader
+            try:  # order_p and h_init may be left unset
+                if getattr(self, key) is not None:
+                    object.__setattr__(self, key, read(getattr(self, key)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         if not 0 < self.tol < np.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if not 0 < self.alpha <= 1:
@@ -75,17 +85,12 @@ class StepControlConfig:
         if not self.reject_threshold >= 1.0:
             raise ConfigError(f"reject_threshold must be >= 1, got {self.reject_threshold}: "
                               "below 1 would reject accepted-quality steps")
-        p = self.order_p
-        if p is not None and (isinstance(p, bool) or not isinstance(p, Integral) or p < 1):
-            raise ConfigError(f"order_p must be an integer >= 1, got {p!r}")
-        h = self.h_init
-        if h is not None and (isinstance(h, bool) or not isinstance(h, Real) or not 0 < h < np.inf):
-            raise ConfigError(f"h_init must be a positive finite number, got {h!r}")
+        if self.order_p is not None and self.order_p < 1:
+            raise ConfigError(f"order_p must be an integer >= 1, got {self.order_p!r}")
+        if self.h_init is not None and not 0 < self.h_init < np.inf:
+            raise ConfigError(f"h_init must be a positive finite number, got {self.h_init!r}")
         if self.norm not in ("l2", "max"):
             raise ConfigError(f"norm must be 'l2' or 'max', got {self.norm!r}")
-        for flag in ("local_extrapolation", "project_real"):
-            if not isinstance(getattr(self, flag), (bool, np.bool_)):
-                raise ConfigError(f"{flag} must be true or false, got {getattr(self, flag)!r}")
 
 
 @dataclass(frozen=True)

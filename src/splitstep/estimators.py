@@ -14,8 +14,7 @@ scheme S~ finish from that state.  The control value is
 * adjoint average: the Milne device with gamma = -1 over the adjoint
                    S~ = S*, i.e. (S + S*)/2.  For odd order p the
                    averaged value has order p+1 and (S - S*)/2 is an
-                   asymptotically correct estimate.  "palindromic" is a
-                   checked alias of this kind.
+                   asymptotically correct estimate.
 
 Norms are the discrete L2 norm over all components by default; a nodal
 max norm is available for controllers that prefer it.

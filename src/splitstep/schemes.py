@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, DegeneratePairWarning, SchemeFileError
-from .spectral import Field, _as_is, _checked, _only, _read_object, _value, _write_lines
+from .spectral import (Field, _as_is, _bool, _checked, _integer, _number, _only, _read_object,
+                       _value, _write_lines)
 from .problems import SplitProblem
 
 __all__ = [
@@ -214,7 +215,7 @@ def compose_step(scheme: SplittingScheme, prob: SplitProblem, h: complex, f: Fie
 _PAIR_FIELDS = {
     "embedded": (("controller", "controller"), ("shared_prefix_len", "shared prefix")),
     "milne": (("partner", "partner"), ("gamma", "gamma")),
-    "adjoint_average": (), "palindromic": ()}
+    "adjoint_average": ()}
 
 
 def _named(value):  # a pair field as listed and saved: a scheme by its name
@@ -237,8 +238,6 @@ class SchemePair:
                               integrator's; requires gamma != 1.
     kind = "adjoint_average": Milne with gamma = -1 over the adjoint, i.e.
                               control (S + S*)/2; requires odd order p.
-    kind = "palindromic":     checked alias of adjoint_average for a
-                              palindromic scheme (adjoint = roles swapped).
     """
 
     name: str
@@ -274,13 +273,11 @@ class SchemePair:
                     f"{self.name}: first {L} stages of integrator and controller differ"
                 )
             second, gamma = self.controller, None
-        elif self.kind in ("adjoint_average", "palindromic"):
+        elif self.kind == "adjoint_average":
             if p % 2 == 0:
                 raise ConfigError(
                     f"{self.name}: adjoint-average estimators require odd order, got {p}"
                 )
-            if self.kind == "palindromic" and not self.integrator.palindromic:
-                raise ConfigError(f"{self.name}: {self.integrator.name} is not palindromic")
             object.__setattr__(self, "partner", adjoint(self.integrator))
             second, gamma = self.partner, -1.0
         else:
@@ -413,7 +410,6 @@ def builtin_registry() -> SchemeRegistry:
 
     reg.add_pair(SchemePair("lie-avg", "adjoint_average", lie))
     reg.add_pair(SchemePair("lie-milne", "milne", lie, partner=lie_adj, gamma=-1.0))
-    reg.add_pair(SchemePair("lie-pal", "palindromic", lie))
     reg.add_pair(SchemePair("comp3c-avg", "adjoint_average", comp3c))
     reg.add_pair(SchemePair("emb23c", "embedded", emb2c, controller=comp3c, shared_prefix_len=1))
     reg.add_pair(SchemePair("lie3-avg", "adjoint_average", lie3))
@@ -438,16 +434,14 @@ def builtin_registry() -> SchemeRegistry:
 #    "shared_prefix_len": int (optional, default 0)}
 #   {"name": str, "kind": "milne", "integrator": str, "partner": str,
 #    "gamma": number | [re, im]}
-#   {"name": str, "kind": "adjoint_average" | "palindromic", "integrator": str}
+#   {"name": str, "kind": "adjoint_average", "integrator": str}
 # An entry takes only its kind's keys, each read through spectral's _value.
 # ---------------------------------------------------------------------------
 
 def _parse_complex(x):
     # real values stay float so loaded schemes print like builtins
-    parts = x if isinstance(x, list) and len(x) == 2 else [x, 0]
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
-        raise ValueError(f"expected number or [re, im], got {x!r}")
-    return float(parts[0]) if parts[1] == 0 else complex(*parts)
+    re, im = map(_number, x if isinstance(x, list) and len(x) == 2 else [x, 0])
+    return re if im == 0 else complex(re, im)
 
 
 def _dump_complex(z: complex):
@@ -455,9 +449,7 @@ def _dump_complex(z: complex):
     return z.real if z.imag == 0.0 else [z.real, z.imag]
 
 
-# JSON types are kept: an order of 1.0 or true is refused, not read as 1
 _string = _checked(_as_is, lambda v: isinstance(v, str), "a string")
-_integer = _checked(_as_is, lambda v: type(v) is int, "an integer")
 _kind = _checked(_as_is, lambda v: isinstance(v, str) and v in _PAIR_FIELDS,
                  f"a pair kind, one of {sorted(_PAIR_FIELDS)}")
 
@@ -468,7 +460,7 @@ def _scheme_from(entry: dict, registry: SchemeRegistry) -> SplittingScheme:
         _value(entry, "scheme", "name", _string), _value(entry, "scheme", "order", _integer),
         _value(entry, "scheme", "stages", lambda v: [list(map(_parse_complex, st)) for st in v]))
     for flag in ("parabolic_safe", "palindromic"):
-        if flag in entry and bool(entry[flag]) != getattr(scheme, flag):
+        if _value(entry, "scheme", flag, _bool, getattr(scheme, flag)) != getattr(scheme, flag):
             raise ConfigError(f"declared {flag}={entry[flag]} but computed {getattr(scheme, flag)}")
     return scheme
 
@@ -506,12 +498,13 @@ def load_scheme_file(registry: SchemeRegistry, path) -> None:
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise SchemeFileError(f"{path}: {key!r} must be a list of objects")
         for entry in entries:
-            # every error of an entry is wrapped here, once, with the file and entry
+            # every error of an entry is wrapped here, once, with the file and the entry named once
+            name = entry.get("name", "?")
             try:
                 add(build(entry, registry))
             except ConfigError as exc:
                 raise SchemeFileError(
-                    f"{path}: {label} {entry.get('name', '?')!r}: {exc}") from exc
+                    f"{path}: {label} {name!r}: {str(exc).removeprefix(f'{name}: ')}") from exc
 
 
 def save_scheme_file(path, schemes=(), pairs=()) -> None:

@@ -47,6 +47,7 @@ then the lines, each ending in a newline.  Every JSON file it reads (CLI
 configs, scheme files) goes through one reader, ``_read_object``, which
 requires a top-level object; ``_value`` reads each value in it, naming
 its block and key, and ``_only`` refuses the keys a block does not take.
+Numbers, integers and flags are read by ``_number``, ``_integer`` and ``_bool``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
 from itertools import chain
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -499,6 +501,18 @@ def _checked(convert, ok, want):
 
 def _as_is(v):
     return v
+
+
+def _number(v) -> float:
+    """A number as a float: "0.05" and true are none, and float() refuses 10**400."""
+    if isinstance(v, bool) or not isinstance(v, Real):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+# types are kept (bool("false") is True); numpy's scalars pass, for library callers
+_integer = _checked(_as_is, lambda v: isinstance(v, Integral) and type(v) is not bool, "an integer")
+_bool = _checked(_as_is, lambda v: isinstance(v, (bool, np.bool_)), "true or false")
 
 
 def _write_lines(path, lines, preamble=None) -> None:

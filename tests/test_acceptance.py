@@ -264,7 +264,7 @@ def test_06_closed_form_flows_match_fine_rk():
         ("vdp-B", vdp, 1),
     ]
     t = 0.005
-    n_rk = 5000  # step 1e-6
+    n_rk = 1000  # step 5e-6
 
     worst_flow = 0.0
     worst_semi = 0.0

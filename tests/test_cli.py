@@ -470,6 +470,29 @@ def compare_config(**over):
         ("converge", converge_config(hs=[0.02, 0.02]), "converge.hs"),
         ("converge", converge_config(hs=[0.8, 0.4], t_end=0.2, subject="strang",
                                      what=["global"]), "converge.hs"),
+        # a number is a JSON number: an integer no float holds used to exit 1 in a
+        # control block, and a string or a bool used to be read as a number
+        ("run", gs_config(control={"tol": 10**400}), "run.control: tol"),
+        ("run", gs_config(control={"tol": 1e-4, "h_min": 10**400}), "run.control: h_min"),
+        ("run", gs_config(control={"tol": 1e-4, "reject_threshold": 10**400}),
+         "run.control: reject_threshold"),
+        # every estimate of the linear problem is 0, so the first step grows by alpha_max
+        ("run", {"problem": {"name": "linear", "n": 16, "initial": "random_smooth",
+                             "initial_args": {"m": 1}},
+                 "run": gs_config(control={"tol": 1e-4, "alpha_max": 10**400})["run"]},
+         "run.control: alpha_max"),
+        ("run", gs_config(control={"tol": True}), "run.control: tol"),
+        ("run", gs_config(control={"tol": 1e-4, "alpha": True}), "run.control: alpha"),
+        ("run", gs_config(mode="fixed", scheme="lie", h="0.05"), "run.h"),
+        ("run", gs_config(mode="fixed", scheme="lie", h=True), "run.h"),
+        ("run", gs_config(t_end="0.2"), "run.t_end"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "a": "3.0"}}, "problem.a"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "params": {"alpha": "0.04"}}},
+         "problem.params"),
+        ("converge", converge_config(hs=["0.05"]), "converge.hs"),
+        ("compare", {"problem": gs_config()["problem"],
+                     "compare": {"pair": "lie-avg", "t_end": 0.1, "control": {"tol": "1e-3"}}},
+         "compare.control: tol"),
     ],
 )
 def test_malformed_config_value_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,

@@ -119,15 +119,6 @@ def test_adjoint_average_combination():
     assert res.est_norm == controller_norm(diff)
 
 
-def test_palindromic_pair_equals_adjoint_average():
-    prob = linear_test_problem()
-    f = smooth_state(4)
-    a = estimate_step(REG.pair("lie-avg"), prob, 0.04, f)
-    b = estimate_step(REG.pair("lie-pal"), prob, 0.04, f)
-    assert np.array_equal(a.u_control.data, b.u_control.data)
-    assert a.est_norm == b.est_norm
-
-
 def test_milne_gamma_minus_one_identical_to_average():
     # gamma = -1 makes the Milne weights exactly (1/2, 1/2): the control
     # value and estimate must coincide with the adjoint average bitwise

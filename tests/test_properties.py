@@ -1,5 +1,5 @@
 """Property tests: scheme algebra, scheme files, the step-size update and the
-input contracts of scheme files and the problem block."""
+input contracts of scheme files, the problem block and control blocks."""
 
 import json
 import math
@@ -200,3 +200,29 @@ def test_a_mutated_problem_block_builds_or_is_refused(block_pair):
     except ConfigError:
         return
     assert f0.m == prob.m and f0.grid.n <= 64 and f0.grid.dim <= 3
+
+
+CONTROLS = [
+    ("control", {"tol": 1e-4, "alpha": 0.9, "alpha_min": 0.25, "alpha_max": 4.0, "order_p": 2,
+                 "h_init": 0.01, "h_min": 1e-12, "h_max": 1.0, "reject_threshold": 1.0,
+                 "norm": "max", "local_extrapolation": True, "project_real": False}),
+    ("control", {"tol": 1e-4}),  # the first step from tol
+]
+
+
+@settings(CHECK, max_examples=200)
+@given(mutated(CONTROLS))
+@example(("control", {**CONTROLS[0][1], "tol": BIG}))
+@example(("control", {**CONTROLS[0][1], "alpha_max": BIG}))
+@example(("control", {**CONTROLS[1][1], "tol": True}))
+def test_a_mutated_control_block_steps_or_is_refused(block_pair):
+    from splitstep.cli import _control_config
+    from splitstep.control import _first_step
+
+    _, block = block_pair
+    try:
+        cfg = _control_config(block, "run.control")
+    except ConfigError:
+        return
+    h = _first_step(cfg, builtin_registry().pair("lie-avg"), 1.0)
+    assert cfg.h_min <= next_step_size(h, 0.0, cfg, 1) <= cfg.h_max

@@ -50,7 +50,6 @@ def test_builtin_inventory():
         "emb23c",
         "lie-avg",
         "lie-milne",
-        "lie-pal",
         "lie3-avg",
     ]
 
@@ -307,14 +306,16 @@ def test_pair_validation_averages():
     with pytest.raises(ConfigError):
         SchemePair("x", "adjoint_average", REG.scheme("strang"))  # even order
     with pytest.raises(ConfigError):
-        SchemePair("x", "palindromic", REG.scheme("emb2c"))  # even order
-    lie_pal = SchemePair("x", "palindromic", REG.scheme("lie"))
-    assert lie_pal.partner == REG.scheme("lie*")
-    # comp3c is not palindromic, so only the plain average form works
-    with pytest.raises(ConfigError):
-        SchemePair("x", "palindromic", REG.scheme("comp3c"))
+        SchemePair("x", "adjoint_average", REG.scheme("emb2c"))  # even order
+    lie_avg = SchemePair("x", "adjoint_average", REG.scheme("lie"))
+    assert lie_avg.partner == REG.scheme("lie*")
+    # palindromic or not, an odd-order integrator averages with its adjoint
+    assert REG.scheme("lie").palindromic and not REG.scheme("comp3c").palindromic
     avg = SchemePair("x", "adjoint_average", REG.scheme("comp3c"))
     assert avg.partner.stages == adjoint(REG.scheme("comp3c")).stages
+    # "palindromic" was a checked alias of this kind and is no kind now
+    with pytest.raises(ConfigError, match="unknown pair kind 'palindromic'"):
+        SchemePair("x", "palindromic", REG.scheme("lie"))
 
 
 def test_pair_validation_milne():
@@ -338,7 +339,7 @@ def test_pair_recipe_per_kind():
     assert emb.second is emb.controller and emb.milne_gamma is None
     milne = REG.pair("lie-milne")
     assert milne.second is REG.scheme("lie*") and milne.milne_gamma == -1.0
-    for name in ("lie-avg", "lie-pal", "comp3c-avg", "lie3-avg"):
+    for name in ("lie-avg", "comp3c-avg", "lie3-avg"):
         pair = REG.pair(name)
         assert pair.second == adjoint(pair.integrator) and pair.milne_gamma == -1.0
         assert pair.shared_prefix_len == 0
@@ -547,6 +548,9 @@ _EMB = '"kind": "embedded", "integrator": "emb2c", "controller": "comp3c"'
         pytest.param('{"schemes": %s%s}' % ("[" * 100000, "]" * 100000), id="deep-nesting"),
         # a builtin's name: the duplicate used to be reported without the file
         '{"schemes": [{"name": "strang", "order": 2, "stages": [[0.5, 1.0], [0.5, 0.0]]}]}',
+        # a flag is a JSON boolean: "no" and [0] used to be read as true
+        '{"schemes": [{"name": "x", "order": 1, %s, "parabolic_safe": "no"}]}' % _ONE,
+        '{"schemes": [{"name": "x", "order": 1, %s, "palindromic": [0]}]}' % _ONE,
     ],
 )
 def test_malformed_scheme_file_values_exit_2_with_one_prefix(tmp_path, capsys, doc):
@@ -560,6 +564,29 @@ def test_malformed_scheme_file_values_exit_2_with_one_prefix(tmp_path, capsys, d
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert err.count(f"{path}:") == 1, err
+
+
+def test_scheme_file_error_names_its_entry_once(tmp_path):
+    path = tmp_path / "sums.json"
+    path.write_text(json.dumps({
+        "schemes": [{"name": "x", "order": 1, "stages": [[0.5, 1.0]]}],
+    }))
+    with pytest.raises(SchemeFileError) as info:
+        load_scheme_file(builtin_registry(), path)
+    assert str(info.value) == (
+        f"{path}: scheme 'x': slot 0 coefficients sum to (0.5+0j), expected 1")
+    path.write_text(json.dumps({
+        "pairs": [{"name": "y", "kind": "adjoint_average", "integrator": "strang"}],
+    }))
+    with pytest.raises(SchemeFileError) as info:
+        load_scheme_file(builtin_registry(), path)
+    assert str(info.value) == (
+        f"{path}: pair 'y': adjoint-average estimators require odd order, got 2")
+    # built directly, a scheme or a pair still names itself
+    with pytest.raises(ConfigError, match=r"^x: slot 0 coefficients"):
+        SplittingScheme("x", 1, ((0.5, 1.0),))
+    with pytest.raises(ConfigError, match=r"^y: adjoint-average"):
+        SchemePair("y", "adjoint_average", REG.scheme("strang"))
 
 
 def test_embedded_pair_file_round_trip(tmp_path):
@@ -623,7 +650,7 @@ def test_saved_scheme_file_bytes_are_pinned(tmp_path):
           "shared_prefix_len": 1}, "shared_prefix_len"),
         ({"kind": "adjoint_average", "integrator": "comp3c", "gamma": 0.5,
           "controller": "comp3c"}, "controller"),
-        ({"kind": "palindromic", "integrator": "lie", "partner": "lie*"}, "partner"),
+        ({"kind": "adjoint_average", "integrator": "lie", "partner": "lie*"}, "partner"),
     ],
 )
 def test_pair_entry_with_a_key_its_kind_does_not_take_exits_2(tmp_path, capsys, entry, key):
@@ -637,6 +664,18 @@ def test_pair_entry_with_a_key_its_kind_does_not_take_exits_2(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert f"{path}: pair 'stray': " in err and repr(key) in err, err
+
+
+def test_palindromic_is_no_pair_kind(tmp_path, capsys):
+    from splitstep.cli import main
+
+    path = tmp_path / "pal.json"
+    path.write_text(json.dumps({"pairs": [{"name": "x", "kind": "palindromic",
+                                           "integrator": "lie"}]}))
+    assert main(["schemes", "--schemes", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{path}: pair 'x': pair.kind: " in err, err
+    assert "one of ['adjoint_average', 'embedded', 'milne'], got 'palindromic'" in err, err
 
 
 def test_str_of_every_builtin_is_its_listing_line(capsys):
@@ -675,7 +714,6 @@ def test_saved_pair_of_every_kind_bytes_are_pinned(tmp_path):
         SchemePair("m", "milne", REG.scheme("lie"), partner=REG.scheme("lie*"),
                    gamma=complex(-1.0, 0.5)),
         SchemePair("a", "adjoint_average", REG.scheme("comp3c")),
-        SchemePair("p", "palindromic", REG.scheme("lie")),
     ]
     path = tmp_path / "pairs.json"
     save_scheme_file(path, pairs=pairs)
@@ -703,11 +741,6 @@ def test_saved_pair_of_every_kind_bytes_are_pinned(tmp_path):
       "name": "a",
       "kind": "adjoint_average",
       "integrator": "comp3c"
-    },
-    {
-      "name": "p",
-      "kind": "palindromic",
-      "integrator": "lie"
     }
   ]
 }
