@@ -54,7 +54,7 @@ from .problems import (
 )
 from .schemes import builtin_registry, load_scheme_file
 from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _integer, _number, _only,
-                       _read_object, _value, _write_lines, write_field)
+                       _read, _read_object, _value, _write_lines, write_field)
 
 __all__ = ["main"]
 
@@ -109,8 +109,13 @@ _indices = _checked(_floats, lambda xs: all(0 <= s < np.inf for s in xs), "finit
 _times = _checked(_floats, lambda xs: np.isfinite(xs).all(), "a list of finite numbers")
 
 
+def _each(read):
+    """An object whose every value ``read`` reads; a refusal names its key."""
+    return lambda v: {key: _read(read, x, key) for key, x in _object(v).items()}
+
+
 def _params(cls):
-    return lambda v: cls(**{key: _number(x) for key, x in _object(v).items()})
+    return lambda v: cls(**_each(_number)(v))
 
 
 # Each problem's factory, by its name in this module, and one reader per
@@ -144,7 +149,9 @@ def _build_problem(cfg: dict, seed=None):
         prob = globals()[factory](grid, **{
             key: _value(pcfg, "problem", key, read) for key, read in readers.items()
             if key in pcfg})
-        ic_args = dict(_value(pcfg, "problem", "initial_args", _object, {}))
+        # an integer argument (a seed, a component count) stays an integer
+        ic_args = _value(pcfg, "problem", "initial_args",
+                         _each(lambda v: v if type(v) is int else _number(v)), {})
         if seed is not None:
             ic_args["seed"] = seed
         f0 = initial_condition(_value(pcfg, "problem", "initial", str, "gs_bump"),

@@ -25,7 +25,7 @@ from .exceptions import ConfigError, NumericalError, ToleranceAbortError
 from .estimators import estimate_step
 from .problems import SplitProblem
 from .schemes import SchemePair, SplittingScheme, compose_step
-from .spectral import Field, _bool, _integer, _number, _write_lines, to_nodal
+from .spectral import Field, _bool, _integer, _number, _read, _write_lines, to_nodal
 
 __all__ = [
     "StepControlConfig",
@@ -69,11 +69,8 @@ class StepControlConfig:
 
     def __post_init__(self):
         for key, read in _READERS.items():  # each number, integer and flag by its reader
-            try:  # order_p and h_init may be left unset
-                if getattr(self, key) is not None:
-                    object.__setattr__(self, key, read(getattr(self, key)))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+            if getattr(self, key) is not None:  # order_p and h_init may be left unset
+                object.__setattr__(self, key, _read(read, getattr(self, key), key))
         if not 0 < self.tol < np.inf:
             raise ConfigError(f"tol must be positive and finite, got {self.tol}")
         if not 0 < self.alpha <= 1:

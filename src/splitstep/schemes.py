@@ -330,7 +330,8 @@ class SchemeRegistry:
     @staticmethod
     def _put(table: dict, what: str, item):
         if item.name in table:
-            raise SchemeFileError(f"duplicate {what} name {item.name!r}")
+            # the name leads, as in SchemePair's errors, so a scheme file names it once
+            raise SchemeFileError(f"{item.name}: duplicate {what} name")
         table[item.name] = item
 
     @staticmethod

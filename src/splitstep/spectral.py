@@ -3,14 +3,15 @@
 Conventions
 -----------
 A real or complex function on the torus is sampled on the uniform grid
-x_i = -a + 2a*i/n per axis.  Modal coefficients follow
+x_i = -a + 2a*i/n per axis.  Modal coefficients measure phase from the
+box corner x = -a, the first node (every modal operation acts on each
+mode alone, so no result depends on where phase is measured):
 
-    c_k = (2a)^(-d) * integral_Q u(x) exp(-i*pi*(k.x)/a) dx,
+    c_k = (2a)^(-d) * integral_Q u(x) exp(-i*pi*(k.(x+a))/a) dx,
 
-so c_0 is the mean value and u(x) = sum_k c_k exp(i*pi*(k.x)/a).  The
-discrete transform is the FFT with a per-axis phase (-1)^k that accounts
-for the domain starting at -a instead of 0; ``norm="forward"`` applies
-the modal scaling, n^-1 per axis and n^-d in all.  The transforms run one
+so c_0 is the mean value and u(x) = sum_k c_k exp(i*pi*(k.(x+a))/a).  The
+discrete transform is the FFT alone; ``norm="forward"`` applies the modal
+scaling, n^-1 per axis and n^-d in all.  The transforms run one
 1D FFT per axis, last axis first: the loop ``np.fft.fftn``/``ifftn`` run,
 bitwise the same, without their per-call argument handling.  Wavenumbers
 are integers.  One read-only cache, ``_grid_cache``, holds the per-grid
@@ -45,8 +46,9 @@ convergence and efficiency CSVs, scheme files, the snapshot index) goes
 through one writer, ``_write_lines``: ``# key=value`` provenance lines,
 then the lines, each ending in a newline.  Every JSON file it reads (CLI
 configs, scheme files) goes through one reader, ``_read_object``, which
-requires a top-level object; ``_value`` reads each value in it, naming
-its block and key, and ``_only`` refuses the keys a block does not take.
+requires a top-level object; ``_value`` reads each value in it through
+``_read``, naming its block and key, and ``_only`` refuses the keys a
+block does not take.
 Numbers, integers and flags are read by ``_number``, ``_integer`` and ``_bool``.
 """
 
@@ -184,13 +186,6 @@ def _kappa_sq(grid: TorusGrid, half: bool = False) -> np.ndarray:
 
 
 @_grid_cache
-def _shift_phase(grid: TorusGrid, half: bool = False) -> np.ndarray:
-    # (-1)^(k_1+...+k_d): compensates the grid origin at -a
-    par = sum(np.asarray(k, dtype=np.int64) for k in _k_meshes(grid, half)) & 1
-    return np.where(par == 0, 1.0, -1.0)
-
-
-@_grid_cache
 def _dealias_keep(grid: TorusGrid, half: bool = False) -> np.ndarray:
     # True where every |k_j| <= n/3 (2/3 rule)
     return np.all([np.abs(k) <= grid.n / 3.0 for k in _k_meshes(grid, half)], axis=0)
@@ -322,28 +317,22 @@ def _widen(f: Field) -> Field:
 
 
 def to_modal(f: Field) -> Field:
-    """Forward transform; identity if already modal."""
+    """Forward transform, only its FFTs; identity if already modal."""
     if f.space == MODAL:
         return f
-    c = f.data
-    dim = f.grid.dim
-    half = f.is_real
-    if half:
-        c = np.fft.rfft(c, axis=dim, norm="forward")
-        dim -= 1
-    for axis in range(dim, 0, -1):
+    dim, half = f.grid.dim, f.is_real
+    c = np.fft.rfft(f.data, axis=dim, norm="forward") if half else f.data
+    for axis in range(dim - half, 0, -1):
         c = np.fft.fft(c, axis=axis, norm="forward")
-    c *= _shift_phase(f.grid, half)
     return Field._of(f.grid, c, MODAL)
 
 
 def to_nodal(f: Field) -> Field:
-    """Inverse transform; identity if already nodal."""
+    """Inverse transform, only its FFTs, which never write ``f.data``; identity if nodal."""
     if f.space == NODAL:
         return f
-    dim = f.grid.dim
-    half = f.is_real
-    u = f.data * _shift_phase(f.grid, half)
+    dim, half = f.grid.dim, f.is_real
+    u = f.data
     for axis in range(dim - half, 0, -1):
         u = np.fft.ifft(u, axis=axis, norm="forward")
     if half:
@@ -470,16 +459,21 @@ def _read_object(path, error, what) -> dict:
 _REQUIRED = object()
 
 
-def _value(block: dict, where: str, key: str, convert=float, default=_REQUIRED):
+def _value(block: dict, where: str, key: str, convert, default=_REQUIRED):
     """block[key] through ``convert``, or ``default`` if absent; a refusal names the key."""
     if key not in block:
         if default is _REQUIRED:
             raise ConfigError(f"{where} needs {key!r}")
         return default
+    return _read(convert, block[key], f"{where}.{key}")
+
+
+def _read(convert, v, name: str):
+    """``convert(v)``; a refusal is a ConfigError that begins with ``name``."""
     try:
-        return convert(block[key])
+        return convert(v)
     except (TypeError, ValueError, OverflowError, ConfigError) as exc:
-        raise ConfigError(f"{where}.{key}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _only(block: dict, where: str, keys) -> None:

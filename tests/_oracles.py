@@ -9,10 +9,11 @@ import numpy as np
 
 
 def dft_coefficients_1d(u, a):
-    """Direct O(n^2) evaluation of c_k = (2a)^-1 * int u(x) e^(-i pi k x / a) dx.
+    """Direct O(n^2) evaluation of c_k = (2a)^-1 * int u(x) e^(-i pi k (x+a) / a) dx.
 
-    Trapezoid quadrature on the periodic grid x_j = -a + 2a*j/n, which is
-    exact for band-limited u.  Returns coefficients in FFT index order.
+    Phase is measured from the box corner x = -a.  Trapezoid quadrature on
+    the periodic grid x_j = -a + 2a*j/n, which is exact for band-limited u.
+    Returns coefficients in FFT index order.
     """
     u = np.asarray(u, dtype=np.complex128)
     n = u.shape[0]
@@ -20,7 +21,7 @@ def dft_coefficients_1d(u, a):
     ks = np.fft.fftfreq(n, d=1.0 / n)
     out = np.empty(n, dtype=np.complex128)
     for i, k in enumerate(ks):
-        out[i] = np.sum(u * np.exp(-1j * np.pi * k * x / a)) / n
+        out[i] = np.sum(u * np.exp(-1j * np.pi * k * (x + a) / a)) / n
     return out
 
 

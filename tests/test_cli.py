@@ -489,6 +489,21 @@ def compare_config(**over):
         ("run", {**gs_config(), "problem": {**gs_config()["problem"], "a": "3.0"}}, "problem.a"),
         ("run", {**gs_config(), "problem": {**gs_config()["problem"], "params": {"alpha": "0.04"}}},
          "problem.params"),
+        # a refused parameter is named, not only its block
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"],
+                                            "params": {"alpha": "0.04", "beta": 0.06}}},
+         "problem.params: alpha: expected a number, got '0.04'"),
+        # initial_args values are numbers: true was read as 1, and a string
+        # exited 2 only through the preset, without the key
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "initial": "gs_rough",
+                                            "initial_args": {"q": True}}},
+         "problem.initial_args: q: expected a number, got True"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "initial": "gs_rough",
+                                            "initial_args": {"seed": True}}},
+         "problem.initial_args: seed: expected a number, got True"),
+        ("run", {**gs_config(), "problem": {**gs_config()["problem"], "initial": "gs_rough",
+                                            "initial_args": {"q": "2.5"}}},
+         "problem.initial_args: q: expected a number, got '2.5'"),
         ("converge", converge_config(hs=["0.05"]), "converge.hs"),
         ("compare", {"problem": gs_config()["problem"],
                      "compare": {"pair": "lie-avg", "t_end": 0.1, "control": {"tol": "1e-3"}}},

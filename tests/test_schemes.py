@@ -582,11 +582,22 @@ def test_scheme_file_error_names_its_entry_once(tmp_path):
         load_scheme_file(builtin_registry(), path)
     assert str(info.value) == (
         f"{path}: pair 'y': adjoint-average estimators require odd order, got 2")
-    # built directly, a scheme or a pair still names itself
+    # a taken name used to be named twice: "scheme 'strang': duplicate scheme name 'strang'"
+    path.write_text(json.dumps({
+        "schemes": [{"name": "strang", "order": 2, "stages": [[0.5, 1.0], [0.5, 0.0]]}],
+    }))
+    with pytest.raises(SchemeFileError) as info:
+        load_scheme_file(builtin_registry(), path)
+    assert str(info.value) == f"{path}: scheme 'strang': duplicate scheme name"
+    # built directly, a scheme or a pair still names itself, and so does a duplicate
     with pytest.raises(ConfigError, match=r"^x: slot 0 coefficients"):
         SplittingScheme("x", 1, ((0.5, 1.0),))
     with pytest.raises(ConfigError, match=r"^y: adjoint-average"):
         SchemePair("y", "adjoint_average", REG.scheme("strang"))
+    with pytest.raises(SchemeFileError, match=r"^strang: duplicate scheme name$"):
+        builtin_registry().add(REG.scheme("strang"))
+    with pytest.raises(SchemeFileError, match=r"^lie-avg: duplicate pair name$"):
+        builtin_registry().add_pair(REG.pair("lie-avg"))
 
 
 def test_embedded_pair_file_round_trip(tmp_path):

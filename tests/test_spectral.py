@@ -79,12 +79,13 @@ def test_mean_mode_is_zero_coefficient():
 
 
 def test_single_mode_has_unit_coefficient():
-    # u = exp(i*pi*x/a) must produce c_1 = 1 exactly (up to roundoff),
-    # with no contamination of other modes: fixes the phase convention.
+    # u = exp(i*pi*(x+a)/a) must produce c_1 = 1 exactly (up to roundoff),
+    # with no contamination of other modes: fixes the phase convention,
+    # measured from the box corner x = -a.
     a = 1.7
     grid = TorusGrid(1, a, 32)
     x = grid.axis()
-    f = Field(grid, np.exp(1j * np.pi * x / a))
+    f = Field(grid, np.exp(1j * np.pi * (x + a) / a))
     c = to_modal(f).data[0]
     assert c[1] == pytest.approx(1.0, abs=1e-13)
     others = np.delete(c, 1)
@@ -352,11 +353,10 @@ def test_grid_cache_arrays_refuse_writes(grid):
         _k_abs1,
         _k_meshes,
         _kappa_sq,
-        _shift_phase,
     )
 
-    arrays = [*_k_meshes(grid), _k_abs1(grid), _kappa_sq(grid), _shift_phase(grid),
-              _dealias_keep(grid), *grid.wavenumbers()]
+    arrays = [*_k_meshes(grid), _k_abs1(grid), _kappa_sq(grid), _dealias_keep(grid),
+              *grid.wavenumbers()]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -374,22 +374,15 @@ def test_in_place_sigma_cannot_corrupt_later_symbols_or_norms():
     assert sobolev_norm(f, 1) == h1_before
 
 
-def _phase(grid):
-    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(np.int64)
-    par = sum(np.meshgrid(*([k] * grid.dim), indexing="ij")) & 1
-    return np.where(par == 0, 1.0, -1.0)
-
-
 @pytest.mark.parametrize("dim,n", [(1, 4), (1, 64), (1, 256), (2, 8), (2, 32), (3, 4), (3, 16)])
 def test_transforms_equal_the_explicitly_scaled_fft_bitwise(dim, n):
     grid = TorusGrid(dim, 1.7, n)
     f = random_field(grid, m=2, seed=n + dim)
     axes = tuple(range(1, dim + 1))
-    phase = _phase(grid)
-    want_modal = np.fft.fftn(f.data, axes=axes) / (n**dim) * phase
+    want_modal = np.fft.fftn(f.data, axes=axes) / (n**dim)
     assert np.array_equal(to_modal(f).data, want_modal)
     c = Field(grid, f.data, "modal")
-    want_nodal = np.fft.ifftn(c.data * phase * (n**dim), axes=axes)
+    want_nodal = np.fft.ifftn(c.data * (n**dim), axes=axes)
     assert np.array_equal(to_nodal(c).data, want_nodal)
 
 
@@ -400,12 +393,27 @@ def test_per_axis_transforms_equal_fftn_and_ifftn_bitwise(dim, n):
     grid = TorusGrid(dim, 1.3, n)
     f = random_field(grid, m=2, seed=n + 7 * dim)
     axes = tuple(range(1, dim + 1))
-    phase = _phase(grid)
-    want_modal = np.fft.fftn(f.data, axes=axes, norm="forward") * phase
+    want_modal = np.fft.fftn(f.data, axes=axes, norm="forward")
     assert np.array_equal(to_modal(f).data, want_modal)
     c = Field(grid, f.data, "modal")
-    want_nodal = np.fft.ifftn(c.data * phase, axes=axes, norm="forward")
+    want_nodal = np.fft.ifftn(c.data, axes=axes, norm="forward")
     assert np.array_equal(to_nodal(c).data, want_nodal)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_transforms_of_read_only_data_leave_it_unchanged(grid, real):
+    # a transform hands its input straight to the FFTs, so a held state
+    # (FixedSolves hands out read-only ones) must pass through unwritten
+    f = random_field(grid, m=2, seed=grid.dim)
+    if real:
+        f = Field._of(grid, f.data.real.copy(), "nodal")
+    for g, transform in ((f, to_modal), (to_modal(f), to_nodal)):
+        g.data.setflags(write=False)
+        before = g.data.tobytes()
+        out = transform(g)
+        assert g.data.tobytes() == before
+        assert out.is_real == real and not np.shares_memory(out.data, g.data)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")

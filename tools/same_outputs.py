@@ -12,7 +12,8 @@ each tree, in a fresh temporary directory per run, the script
 * runs each config of ``PROBLEM_CONFIGS`` (small ``run`` configs that take
   every problem and every problem key, ``linear`` and ``diffusion``,
   ``rk4_substep`` and ``dealias`` among them, through the CLI's problem
-  table, one adaptive run with snapshots, a ``converge`` of two subjects
+  table, a ``gs_rough`` start with float and integer ``initial_args``,
+  one adaptive run with snapshots, a ``converge`` of two subjects
   on the linear problem and one of three on stiff van der Pol) the same
   way, writing the config into the run's directory;
 * runs ``splitstep schemes`` and collects the listing it prints;
@@ -82,6 +83,11 @@ PROBLEM_CONFIGS = {
                     "params": {"alpha": 0.04, "c2": 0.01}},
         # snapshots every third step and at two times, one of them before t0
         "run": {**_ADAPTIVE, "snapshot_every": 3, "snapshot_times": [-1.0, 0.15]}},
+    # float and integer initial_args: q and amp stay floats, seed an integer
+    "gs_rough": {
+        "problem": {**_GS, "initial": "gs_rough",
+                    "initial_args": {"q": 2.5, "amp": 0.1, "seed": 1}},
+        "run": _FIXED},
     "gray_scott_abc_dealias": {
         "problem": {**_GS, "name": "gray_scott_abc", "dealias": True},
         "run": {**_ADAPTIVE, "pair": "lie3-avg"}},
