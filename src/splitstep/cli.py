@@ -53,7 +53,7 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _integer, _number, _only,
+from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _count, _number, _only,
                        _read, _read_object, _value, _write_lines, write_field)
 
 __all__ = ["main"]
@@ -98,7 +98,6 @@ def _floats(v) -> list:
 _object = _checked(_as_is, lambda v: isinstance(v, dict), "an object")
 _strings = _checked(_as_is, lambda v: isinstance(v, list)
                     and all(isinstance(x, str) for x in v), "a list of strings")
-_count = _checked(_integer, lambda v: v >= 1, "a positive integer")
 _finite = _checked(_number, np.isfinite, "a finite number")
 _positive = _checked(_number, lambda x: x > 0, "a positive number")
 _width = _checked(_number, lambda x: 0 < x < np.inf, "a positive finite number")

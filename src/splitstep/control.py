@@ -25,7 +25,7 @@ from .exceptions import ConfigError, NumericalError, ToleranceAbortError
 from .estimators import estimate_step
 from .problems import SplitProblem
 from .schemes import SchemePair, SplittingScheme, compose_step
-from .spectral import Field, _bool, _integer, _number, _read, _write_lines, to_nodal
+from .spectral import Field, _bool, _count, _integer, _number, _read, _write_lines, to_nodal
 
 __all__ = [
     "StepControlConfig",
@@ -214,6 +214,8 @@ def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
     """
     if t_end < t0:
         raise ConfigError(f"t_end={t_end} before t0={t0}")
+    if snapshot_every is not None:  # n_acc % snapshot_every: only n >= 1 picks every n-th step
+        _read(_count, snapshot_every, "snapshot_every")
     # a NaN would sort first and never come due, holding back every later time
     pending = sorted(snapshot_times) if snapshot_times else []
     if not np.isfinite(pending).all():

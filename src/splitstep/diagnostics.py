@@ -395,6 +395,8 @@ def efficiency_compare(
     the minimum.  The final clipped landing step is likewise excluded
     from the minimum.  The equidistant run uses the bare integrator.
     """
+    if not t_end > t0:  # no accepted step to measure; refused before calibration solves
+        raise ConfigError(f"efficiency_compare: t_end={t_end!r} must exceed t0={t0!r}")
     if calibrate and cfg.h_init is None:
         probe = replace(cfg, h_max=max(cfg.h_min, min(cfg.h_max, t_end - t0)))
         h0 = _first_step(probe, pair, t_end - t0)

@@ -1,20 +1,12 @@
 """A-posteriori local error estimators built from scheme pairs.
 
 Every estimator produces the integrator value S(h, u), a higher-quality
-control value, and est_norm = ||S(h, u) - control||.  All pair kinds are
-one recipe (see :class:`SchemePair`): the integrator's first
-``shared_prefix_len`` stages run once, then the integrator and a second
-scheme S~ finish from that state.  The control value is
-
-* embedded:        S~ itself, a controller of order p+1 sharing the
-                   prefix with the integrator (no Milne weight);
-* Milne device:    -gamma/(1-gamma)*S + 1/(1-gamma)*S~ for a partner S~ of
-                   the same order p whose leading error term is gamma
-                   times that of S; then est = ||(S - S~)/(1-gamma)||;
-* adjoint average: the Milne device with gamma = -1 over the adjoint
-                   S~ = S*, i.e. (S + S*)/2.  For odd order p the
-                   averaged value has order p+1 and (S - S*)/2 is an
-                   asymptotically correct estimate.
+control value, and est_norm = ||S(h, u) - control||.  Every pair kind is
+one recipe, set out in :class:`SchemePair`: the integrator's first
+``shared_prefix_len`` stages run once, then the integrator S and the
+pair's second scheme S~ finish from that state.  The control value is S~
+itself when the pair has no Milne weight ``gamma``, and otherwise
+-gamma/(1-gamma)*S + 1/(1-gamma)*S~, so est = ||(S - S~)/(1-gamma)||.
 
 Norms are the discrete L2 norm over all components by default; a nodal
 max norm is available for controllers that prefer it.
@@ -63,11 +55,6 @@ def _match_space(ref: Field, other: Field) -> Field:
     return to_modal(other) if ref.space == MODAL else to_nodal(other)
 
 
-def _combine(ca, fa: Field, cb, fb: Field) -> Field:
-    # Field arithmetic widens a real operand to meet a complex one or a complex weight
-    return fa * ca + _match_space(fa, fb) * cb
-
-
 def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
                   norm: str = "l2") -> EstimateResult:
     """One integrator step with its paired local error estimate."""
@@ -75,10 +62,11 @@ def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
     u_pref, n_pref = apply_word(pair.prefix_word, prob, h, f) if pair.prefix_word else (f, 0)
     u_next, n_int = apply_word(pair.integrator_word, prob, h, u_pref)
     u_second, n_second = apply_word(pair.second_word, prob, h, u_pref)
-    g = pair.milne_gamma
-    # an embedded controller's value stays in its own space
-    control = u_second if g is None else _combine(-g / (1.0 - g), u_next,
-                                                  1.0 / (1.0 - g), u_second)
+    g = pair.gamma
+    # an embedded controller's value stays in its own space; Field arithmetic
+    # widens a real operand to meet a complex one or a complex weight
+    control = u_second if g is None else (u_next * (-g / (1.0 - g))
+                                          + _match_space(u_next, u_second) * (1.0 / (1.0 - g)))
     diff = u_next - _match_space(u_next, control)
     return EstimateResult(u_next, control, controller_norm(diff, norm),
                           n_pref + n_int + n_second)

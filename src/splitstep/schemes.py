@@ -229,15 +229,18 @@ class SchemePair:
     Every kind is one recipe: the integrator's first ``shared_prefix_len``
     stages run once, the integrator and the ``second`` scheme finish from
     there, and the control value is the second scheme's value, or, when
-    ``milne_gamma`` is set, its Milne combination with the integrator's.
+    ``gamma`` is set, its Milne combination with the integrator's.
+    ``gamma`` is the Milne weight of both Milne kinds; an embedded pair
+    clears it to None, and a Milne-kind pair clears the prefix to 0.
 
     kind = "embedded":        second = controller of order p+1; only this
-                              kind shares a prefix (0 for the others).
+                              kind shares a prefix.
     kind = "milne":           second = partner of order p whose leading
                               error constant is gamma times the
-                              integrator's; requires gamma != 1.
-    kind = "adjoint_average": Milne with gamma = -1 over the adjoint, i.e.
-                              control (S + S*)/2; requires odd order p.
+                              integrator's; requires a finite gamma != 1.
+    kind = "adjoint_average": Milne with partner = the adjoint and
+                              gamma = -1, i.e. control (S + S*)/2;
+                              requires odd order p.
     """
 
     name: str
@@ -248,7 +251,6 @@ class SchemePair:
     gamma: Optional[complex] = None
     shared_prefix_len: int = 0
     second: SplittingScheme = field(init=False, repr=False, compare=False)
-    milne_gamma: Optional[complex] = field(init=False, repr=False, compare=False)
     # the recipe's words: the shared prefix, then each scheme's letters after it
     prefix_word: tuple = field(init=False, repr=False, compare=False)
     integrator_word: tuple = field(init=False, repr=False, compare=False)
@@ -258,42 +260,33 @@ class SchemePair:
         if self.kind not in _PAIR_FIELDS:
             raise ConfigError(f"{self.name}: unknown pair kind {self.kind!r}")
         p = self.integrator.order
-        if self.kind == "embedded":
-            if self.controller is None:
-                raise ConfigError(f"{self.name}: embedded pair needs a controller")
-            if self.controller.order != p + 1:
-                raise ConfigError(
-                    f"{self.name}: controller order {self.controller.order}, expected {p + 1}"
-                )
-            L = self.shared_prefix_len
-            if L < 0 or L > min(self.integrator.s, self.controller.s):
-                raise ConfigError(f"{self.name}: shared_prefix_len {L} out of range")
-            if self.integrator.stages[:L] != self.controller.stages[:L]:
-                raise ConfigError(
-                    f"{self.name}: first {L} stages of integrator and controller differ"
-                )
-            second, gamma = self.controller, None
-        elif self.kind == "adjoint_average":
+        embedded = self.kind == "embedded"
+        if self.kind == "adjoint_average":
             if p % 2 == 0:
                 raise ConfigError(
                     f"{self.name}: adjoint-average estimators require odd order, got {p}"
                 )
             object.__setattr__(self, "partner", adjoint(self.integrator))
-            second, gamma = self.partner, -1.0
-        else:
-            if self.partner is None:
-                raise ConfigError(f"{self.name}: Milne pair needs a partner scheme")
-            if self.partner.order != p:
-                raise ConfigError(f"{self.name}: Milne partner must match order {p}")
-            if self.gamma is None or self.gamma == 1 or not np.isfinite(self.gamma):
-                raise ConfigError(f"{self.name}: Milne pair needs a finite gamma != 1")
-            second, gamma = self.partner, self.gamma
+            object.__setattr__(self, "gamma", -1.0)
+        role, q = ("controller", p + 1) if embedded else ("partner", p)
+        second = getattr(self, role)
+        if second is None:
+            raise ConfigError(f"{self.name}: {self.kind} pair needs a {role}")
+        if second.order != q:
+            raise ConfigError(f"{self.name}: {role} order {second.order}, expected {q}")
         _same_arity(second, self.integrator, f"{self.name}: ")
-        if gamma is not None:
+        if embedded:
+            object.__setattr__(self, "gamma", None)
+        else:
             object.__setattr__(self, "shared_prefix_len", 0)
+        L, g = self.shared_prefix_len, self.gamma
+        if L < 0 or L > min(self.integrator.s, second.s):
+            raise ConfigError(f"{self.name}: shared_prefix_len {L} out of range")
+        if self.integrator.stages[:L] != second.stages[:L]:
+            raise ConfigError(f"{self.name}: first {L} stages of integrator and {role} differ")
+        if not embedded and (g is None or g == 1 or not np.isfinite(g)):
+            raise ConfigError(f"{self.name}: Milne pair needs a finite gamma != 1")
         object.__setattr__(self, "second", second)
-        object.__setattr__(self, "milne_gamma", gamma)
-        L = self.shared_prefix_len
         object.__setattr__(self, "prefix_word", self.integrator.word(0, L))
         object.__setattr__(self, "integrator_word", self.integrator.word(L))
         object.__setattr__(self, "second_word", second.word(L))

@@ -255,9 +255,6 @@ class Field:
             return self.data.dtype == np.float64
         return self.data.shape[-1] != self.grid.n
 
-    def copy(self) -> "Field":
-        return Field._of(self.grid, self.data.copy(), self.space)
-
     def _check_compat(self, other: "Field"):
         if self.grid != other.grid:
             raise RepresentationError("fields live on different grids")
@@ -506,6 +503,7 @@ def _number(v) -> float:
 
 # types are kept (bool("false") is True); numpy's scalars pass, for library callers
 _integer = _checked(_as_is, lambda v: isinstance(v, Integral) and type(v) is not bool, "an integer")
+_count = _checked(_integer, lambda v: v >= 1, "a positive integer")
 _bool = _checked(_as_is, lambda v: isinstance(v, (bool, np.bool_)), "true or false")
 
 

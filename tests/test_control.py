@@ -234,6 +234,20 @@ def test_integrate_adaptive_refuses_non_finite_snapshot_times(times):
                            StepControlConfig(tol=1e-6), snapshot_times=times)
 
 
+@pytest.mark.parametrize("every", [0, -2, 1.5, True])
+def test_integrate_adaptive_refuses_a_snapshot_every_below_one_or_not_an_integer(
+        monkeypatch, every):
+    # 0 divided by zero after the first step; -2 and 1.5 picked the wrong steps
+    import splitstep.control as control
+
+    trials = []
+    monkeypatch.setattr(control, "estimate_step", lambda *a, **kw: trials.append(a))
+    with pytest.raises(ConfigError, match="snapshot_every"):
+        integrate_adaptive(lin_prob(), REG.pair("lie-avg"), lin_state(), 0.0, 0.4,
+                           StepControlConfig(tol=1e-6), snapshot_every=every)
+    assert trials == []
+
+
 def test_integrate_adaptive_respects_h_max():
     prob, f = lin_prob(), lin_state()
     cfg = StepControlConfig(tol=1e-2, h_max=0.01)

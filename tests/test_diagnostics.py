@@ -6,6 +6,7 @@ import pytest
 from _oracles import expm_dense, rk4
 
 from splitstep import (
+    ConfigError,
     Field,
     GrayScottParams,
     ReferenceAccuracyError,
@@ -342,6 +343,22 @@ def test_efficiency_compare_probes_no_step_the_run_cannot_take(monkeypatch, cfg)
     assert trials and max(trials) <= min(cfg.h_max, 0.5)
 
 
+@pytest.mark.parametrize("calibrate", [True, False])
+@pytest.mark.parametrize("t_end", [0.0, -0.5, np.nan])
+def test_efficiency_compare_refuses_an_empty_span_before_any_solve(monkeypatch, t_end,
+                                                                    calibrate):
+    # an empty span has no accepted step to measure; a backward one would
+    # first run calibration trials at h_min
+    import splitstep.control as control
+
+    trials = []
+    monkeypatch.setattr(control, "estimate_step", lambda *a, **kw: trials.append(a))
+    with pytest.raises(ConfigError, match=r"t_end=.* must exceed t0=0\.0"):
+        efficiency_compare(lin_prob(), REG.pair("lie-avg"), lin_state(), 0.0, t_end,
+                           StepControlConfig(tol=1e-6), calibrate=calibrate)
+    assert trials == []
+
+
 # ---------------------------------------------------------------------------
 # commutator check
 
@@ -468,8 +485,6 @@ def test_local_only_pair_csv_lists_each_series_once_in_order(tmp_path):
 
 @pytest.mark.parametrize("what", [("locl",), "local", ("local", "both"), ()])
 def test_convergence_study_refuses_unknown_kinds(what):
-    from splitstep import ConfigError
-
     with pytest.raises(ConfigError, match="what"):
         convergence_study(lin_prob(), REG.scheme("lie"), lin_state(), 0.0, 0.2, [0.01],
                           what=what)
@@ -483,8 +498,6 @@ def test_convergence_study_refuses_unknown_kinds(what):
     ([0.8, 0.4], (0.0,), ("global",), "hs"),
 ])
 def test_convergence_study_refuses_norms_and_steps_it_cannot_measure(hs, norms, what, key):
-    from splitstep import ConfigError
-
     with pytest.raises(ConfigError, match=f"^{key}: "):
         convergence_study(lin_prob(), REG.scheme("strang"), lin_state(), 0.0, 0.2, hs,
                           norms=norms, what=what)

@@ -168,7 +168,7 @@ def test_integrator_value_is_the_plain_step_bitwise(pair_name):
         pair.integrator.flow_evals + pair.second.flow_evals
         - len(pair.integrator.word(0, pair.shared_prefix_len))
     )
-    if pair.milne_gamma is None:
+    if pair.gamma is None:
         # an embedded control value stays in the controller's own space
         ctl = compose_step(pair.controller, prob, 0.03, f)
         assert res.u_control.space == ctl.space
@@ -184,6 +184,23 @@ def test_milne_stray_controller_still_uses_partner():
                        controller=REG.scheme("strang"), shared_prefix_len=1)
     a = estimate_step(plain, prob, 0.05, f)
     b = estimate_step(stray, prob, 0.05, f)
+    assert np.array_equal(a.u_control.data, b.u_control.data)
+    assert a.est_norm == b.est_norm and a.flow_evals == b.flow_evals
+
+
+def test_embedded_stray_gamma_still_uses_controller():
+    # gamma is the one Milne weight: an embedded pair must clear a stray
+    # one, or it would run as a Milne pair over its controller
+    prob = linear_test_problem()
+    f = smooth_state(13)
+    emb = REG.pair("emb23c")
+    recipe = dict(controller=emb.controller, shared_prefix_len=emb.shared_prefix_len)
+    plain = SchemePair("e", "embedded", emb.integrator, **recipe)
+    stray = SchemePair("e", "embedded", emb.integrator, gamma=2.0, **recipe)
+    assert stray.gamma is None
+    a = estimate_step(plain, prob, 0.05, f)
+    b = estimate_step(stray, prob, 0.05, f)
+    assert a.u_control.space == b.u_control.space
     assert np.array_equal(a.u_control.data, b.u_control.data)
     assert a.est_norm == b.est_norm and a.flow_evals == b.flow_evals
 

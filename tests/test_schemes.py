@@ -334,16 +334,16 @@ def test_pair_validation_milne():
 
 
 def test_pair_recipe_per_kind():
-    # every kind is a second scheme plus an optional Milne weight
+    # every kind is a second scheme plus an optional Milne weight, gamma
     emb = REG.pair("emb23c")
-    assert emb.second is emb.controller and emb.milne_gamma is None
+    assert emb.second is emb.controller and emb.gamma is None
     milne = REG.pair("lie-milne")
-    assert milne.second is REG.scheme("lie*") and milne.milne_gamma == -1.0
+    assert milne.second is REG.scheme("lie*") and milne.gamma == -1.0
     for name in ("lie-avg", "comp3c-avg", "lie3-avg"):
         pair = REG.pair(name)
-        assert pair.second == adjoint(pair.integrator) and pair.milne_gamma == -1.0
-        assert pair.shared_prefix_len == 0
-    g = milne.milne_gamma
+        assert pair.second == adjoint(pair.integrator) and pair.gamma == -1.0
+        assert pair.partner is pair.second and pair.shared_prefix_len == 0
+    g = milne.gamma
     assert (-g / (1.0 - g), 1.0 / (1.0 - g)) == (0.5, 0.5)  # exact average weights
 
 
@@ -351,9 +351,9 @@ def test_average_pair_ignores_stray_keys():
     # the kind picks the second scheme: the adjoint, never a stray key
     lie, strang = REG.scheme("lie"), REG.scheme("strang")
     avg = SchemePair("x", "adjoint_average", lie, controller=strang, partner=strang,
-                     shared_prefix_len=1)
+                     gamma=2.0, shared_prefix_len=1)
     assert avg.second == REG.scheme("lie*") and avg.partner == avg.second
-    assert avg.shared_prefix_len == 0
+    assert avg.shared_prefix_len == 0 and avg.gamma == -1.0
 
 
 def test_pair_validation_second_scheme_arity():

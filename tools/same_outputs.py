@@ -20,6 +20,9 @@ each tree, in a fresh temporary directory per run, the script
 * saves a scheme file with a fresh-named pair of every kind (a Milne pair
   with complex gamma among them) through ``save_scheme_file``, lists it
   with ``splitstep schemes --schemes``, and collects the file and listing;
+* saves the same file again and runs its complex-gamma Milne pair
+  adaptively on a small ``gray_scott`` config through ``splitstep run
+  --schemes``, and collects every file written (not the stdout);
 * runs ``demos/01``-``05`` and collects their stdout and every file they
   write.
 
@@ -52,9 +55,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("run", "converge")
 
-# Saves one pair of every kind under a fresh name, then lists the file.
-SCHEME_FILE_JOB = """
-import sys
+# Saves one pair of every kind under a fresh name, and a Milne pair with complex gamma.
+SAVE_PAIRS = """
+import json, sys
 from splitstep import SchemePair, builtin_registry, save_scheme_file
 from splitstep.cli import main
 
@@ -65,6 +68,9 @@ pairs = [SchemePair("file-" + p.name, p.kind, p.integrator, controller=p.control
 pairs.append(SchemePair("file-cmilne", "milne", reg.scheme("lie"), partner=reg.scheme("lie*"),
                         gamma=complex(-1.0, 0.5)))
 save_scheme_file("pairs.json", pairs=pairs)
+"""
+# Lists the saved file.
+SCHEME_FILE_JOB = SAVE_PAIRS + """
 sys.exit(main(["schemes", "--schemes", "pairs.json"]))
 """
 
@@ -117,6 +123,14 @@ with open("cfg.json", "w") as fh:
 sys.exit(main([{cmd!r}, "--config", "cfg.json", "--out", "."]))
 """
 
+# Steps the saved complex-gamma Milne pair through an adaptive run of the CLI.
+CMILNE_CONFIG = {"problem": _GS, "run": {**_ADAPTIVE, "pair": "file-cmilne"}}
+CMILNE_RUN_JOB = SAVE_PAIRS + f"""
+with open("cfg.json", "w") as fh:
+    json.dump({CMILNE_CONFIG!r}, fh)
+sys.exit(main(["run", "--config", "cfg.json", "--schemes", "pairs.json", "--out", "."]))
+"""
+
 
 def _subcommand(blocks: dict) -> str:
     return next(k for k in SUBCOMMANDS if k in blocks)
@@ -136,6 +150,7 @@ def _jobs() -> list:
                      cmd == "converge"))
     jobs.append(("cli schemes", ["-m", "splitstep.cli", "schemes"], True))
     jobs.append(("scheme file", ["-c", SCHEME_FILE_JOB], True))
+    jobs.append(("scheme file run", ["-c", CMILNE_RUN_JOB], False))
     for demo in sorted((ROOT / "demos").glob("0[1-5]_*.py")):
         jobs.append((f"demo {demo.stem}", [str(demo)], True))
     return jobs
