@@ -53,8 +53,8 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _count, _number, _only,
-                       _read, _read_object, _value, _write_lines, write_field)
+from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _count, _floats, _number,
+                       _only, _read, _read_object, _times, _value, _write_lines, write_field)
 
 __all__ = ["main"]
 
@@ -88,12 +88,6 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def _floats(v) -> list:
-    if not isinstance(v, list):
-        raise TypeError(f"expected a list of numbers, got {v!r}")
-    return [_number(x) for x in v]
-
-
 # JSON types are kept: dict() takes a list of pairs
 _object = _checked(_as_is, lambda v: isinstance(v, dict), "an object")
 _strings = _checked(_as_is, lambda v: isinstance(v, list)
@@ -105,7 +99,6 @@ _width = _checked(_number, lambda x: 0 < x < np.inf, "a positive finite number")
 _positives = _checked(_floats, lambda xs: xs and all(0 < x < np.inf for x in xs),
                       "a non-empty list of positive finite numbers")
 _indices = _checked(_floats, lambda xs: all(0 <= s < np.inf for s in xs), "finite indices >= 0")
-_times = _checked(_floats, lambda xs: np.isfinite(xs).all(), "a list of finite numbers")
 
 
 def _each(read):
@@ -341,7 +334,22 @@ _HANDLERS = {
 }
 
 
+def _steady_heap() -> None:
+    """Pin glibc's mmap and trim thresholds at the ceilings of its own dynamic
+    rule (mallopt(3)): freed 2D temporaries then stay on the heap, not trimmed
+    and faulted back in on every step.  Without ``mallopt`` nothing is done."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library, symbol or dlopen(NULL)
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _steady_heap()  # a CLI process only: library callers keep their allocator
     args = build_parser().parse_args(argv)
     try:
         code = _HANDLERS[args.command](args)

@@ -25,7 +25,7 @@ from .exceptions import ConfigError, NumericalError, ToleranceAbortError
 from .estimators import estimate_step
 from .problems import SplitProblem
 from .schemes import SchemePair, SplittingScheme, compose_step
-from .spectral import Field, _bool, _count, _integer, _number, _read, _write_lines, to_nodal
+from .spectral import Field, _bool, _count, _integer, _number, _read, _times, _write_lines, to_nodal
 
 __all__ = [
     "StepControlConfig",
@@ -195,6 +195,13 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
         h = h_next
 
 
+def _span(t0: float, t_end: float) -> float:
+    """t_end - t0 of a run, refused unless both ends are finite and t_end >= t0."""
+    if not (np.isfinite(t0) and np.isfinite(t_end) and t_end >= t0):
+        raise ConfigError(f"need finite t0 <= t_end, got t0={t0}, t_end={t_end}")
+    return t_end - t0
+
+
 def _first_step(cfg: StepControlConfig, pair: SchemePair, span: float) -> float:
     """:func:`integrate_adaptive`'s first step: ``cfg.h_init`` or span *
     tol^(1/(p+1)), at most the span, clipped to [h_min, h_max]."""
@@ -212,19 +219,16 @@ def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
     taken every ``snapshot_every``-th accepted step and/or at the first
     accepted time past each entry of ``snapshot_times``.
     """
-    if t_end < t0:
-        raise ConfigError(f"t_end={t_end} before t0={t0}")
+    span = _span(t0, t_end)
     if snapshot_every is not None:  # n_acc % snapshot_every: only n >= 1 picks every n-th step
         _read(_count, snapshot_every, "snapshot_every")
     # a NaN would sort first and never come due, holding back every later time
-    pending = sorted(snapshot_times) if snapshot_times else []
-    if not np.isfinite(pending).all():
-        raise ConfigError(f"snapshot_times must be finite, got {snapshot_times}")
+    pending = sorted(_read(_times, [] if snapshot_times is None else snapshot_times,
+                           "snapshot_times"))
     traj = Trajectory()
     if t_end == t0:
         return f0, traj
     start = time.perf_counter()
-    span = t_end - t0
     h = _first_step(cfg, pair, span)
     t, f = t0, f0
     n_acc = 0
@@ -252,15 +256,13 @@ def integrate_fixed(prob: SplitProblem, scheme: SplittingScheme, f0: Field,
     Records carry est=None (no estimator runs).  Returns
     (state, Trajectory).
     """
-    if t_end < t0:
-        raise ConfigError(f"t_end={t_end} before t0={t0}")
+    span = _span(t0, t_end)
     if not h > 0:  # NaN too
         raise ConfigError(f"h must be positive, got {h}")
     traj = Trajectory()
     if t_end == t0:
         return f0, traj
     start = time.perf_counter()
-    span = t_end - t0
     n_steps = max(1, int(np.ceil(span / h - 1e-9)))
     t, f = t0, f0
     for i in range(n_steps):

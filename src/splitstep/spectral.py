@@ -320,7 +320,7 @@ def to_modal(f: Field) -> Field:
     dim, half = f.grid.dim, f.is_real
     c = np.fft.rfft(f.data, axis=dim, norm="forward") if half else f.data
     for axis in range(dim - half, 0, -1):
-        c = np.fft.fft(c, axis=axis, norm="forward")
+        c = np.fft.fft(c, axis=axis, norm="forward", out=None if c is f.data else c)
     return Field._of(f.grid, c, MODAL)
 
 
@@ -331,7 +331,7 @@ def to_nodal(f: Field) -> Field:
     dim, half = f.grid.dim, f.is_real
     u = f.data
     for axis in range(dim - half, 0, -1):
-        u = np.fft.ifft(u, axis=axis, norm="forward")
+        u = np.fft.ifft(u, axis=axis, norm="forward", out=None if u is f.data else u)
     if half:
         u = np.fft.irfft(u, n=f.grid.n, axis=dim, norm="forward")
     return Field._of(f.grid, u, NODAL)
@@ -505,6 +505,15 @@ def _number(v) -> float:
 _integer = _checked(_as_is, lambda v: isinstance(v, Integral) and type(v) is not bool, "an integer")
 _count = _checked(_integer, lambda v: v >= 1, "a positive integer")
 _bool = _checked(_as_is, lambda v: isinstance(v, (bool, np.bool_)), "true or false")
+
+
+def _floats(v) -> list:
+    if not isinstance(v, (list, tuple, np.ndarray)):  # JSON gives lists, library callers more
+        raise TypeError(f"expected a list of numbers, got {v!r}")
+    return [_number(x) for x in v]
+
+
+_times = _checked(_floats, lambda xs: np.isfinite(xs).all(), "a list of finite numbers")
 
 
 def _write_lines(path, lines, preamble=None) -> None:

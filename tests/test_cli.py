@@ -5,16 +5,20 @@ exit-code contract (0 ok, 2 bad input, 3 numerical failure), the files
 written, and determinism of reruns.
 """
 
+import ctypes
 import hashlib
 import json
 import math
+import platform
 import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from splitstep import cli
 from splitstep.cli import main
 from splitstep.spectral import read_field
 
@@ -601,6 +605,65 @@ def test_module_invocation_round_trip(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "accepted" in proc.stdout
     assert (tmp_path / "out" / "trajectory.csv").exists()
+
+
+# ------------------------------------------------------- steady heap
+
+# Six 320 KB arrays made and freed 30 times, after one warm-up round; prints
+# the minor faults of the 30 rounds.  With argument 1 the helper runs first.
+_CYCLES = """
+import resource, sys
+import numpy as np
+import splitstep.cli as cli
+
+if sys.argv[1] == "1":
+    cli._steady_heap()
+
+def cycle():
+    arrays = [np.ones(40_960) for _ in range(6)]
+    del arrays
+
+cycle()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(30):
+    cycle()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_steady_heap_keeps_freed_temporaries_without_faults():
+    # glibc's dynamic rule trims the freed arrays off the heap top and each
+    # round faults them back in; pinned thresholds keep them on the heap
+    def faults(helper):
+        proc = subprocess.run([sys.executable, "-c", _CYCLES, helper],
+                              capture_output=True, text=True, check=True)
+        return int(proc.stdout)
+
+    assert faults("1") == 0
+    assert faults("0") > 1000
+
+
+def test_steady_heap_pins_both_thresholds(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(
+        mallopt=lambda *args: calls.append(args)))
+    cli._steady_heap()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()],
+                         ids=["no-c-library", "no-mallopt"])
+def test_steady_heap_without_mallopt_does_nothing_and_main_still_runs(
+        monkeypatch, capsys, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._steady_heap() is None
+    assert main(["schemes"]) == 0
+    assert "lie-avg" in capsys.readouterr().out
 
 
 def test_compare_without_tols_writes_one_row_at_the_control_tol(tmp_path, capsys):

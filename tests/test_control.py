@@ -225,13 +225,34 @@ def test_snapshot_time_before_t0_is_taken_at_the_first_accepted_step():
     assert traj.snapshots[0][0] == first.t + first.h and traj.snapshots[1][0] >= 0.2
 
 
-@pytest.mark.parametrize("times", [[np.nan, 0.2], [0.2, np.inf], [-np.inf]])
+@pytest.mark.parametrize("times", [[np.nan, 0.2], [0.2, np.inf], [-np.inf], 0.2])
 def test_integrate_adaptive_refuses_non_finite_snapshot_times(times):
-    # a NaN sorts first and would hold back every later time: no snapshot at all
+    # a NaN sorts first and would hold back every later time: no snapshot at all;
+    # a bare number is not a list of times
     prob, f = lin_prob(), lin_state()
     with pytest.raises(ConfigError, match="snapshot_times"):
         integrate_adaptive(prob, REG.pair("lie-avg"), f, 0.0, 0.4,
                            StepControlConfig(tol=1e-6), snapshot_times=times)
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, np.inf), (0.0, np.nan), (-np.inf, 0.4),
+                                       (np.nan, 0.4)])
+@pytest.mark.parametrize("driver", ["adaptive", "fixed"])
+def test_integrate_refuses_a_non_finite_span_end_before_any_step(
+        monkeypatch, driver, t0, t_end):
+    # an infinite t_end ran the adaptive driver without end; a NaN one returned f0 unstepped
+    import splitstep.control as control
+
+    steps = []
+    monkeypatch.setattr(control, "estimate_step", lambda *a, **kw: steps.append(a))
+    monkeypatch.setattr(control, "compose_step", lambda *a, **kw: steps.append(a))
+    with pytest.raises(ConfigError, match="t0 <= t_end"):
+        if driver == "adaptive":
+            integrate_adaptive(lin_prob(), REG.pair("lie-avg"), lin_state(), t0, t_end,
+                               StepControlConfig(tol=1e-4))
+        else:
+            integrate_fixed(lin_prob(), REG.scheme("lie"), lin_state(), t0, t_end, 0.1)
+    assert steps == []
 
 
 @pytest.mark.parametrize("every", [0, -2, 1.5, True])

@@ -344,11 +344,11 @@ def test_efficiency_compare_probes_no_step_the_run_cannot_take(monkeypatch, cfg)
 
 
 @pytest.mark.parametrize("calibrate", [True, False])
-@pytest.mark.parametrize("t_end", [0.0, -0.5, np.nan])
+@pytest.mark.parametrize("t_end", [0.0, -0.5, np.nan, np.inf])
 def test_efficiency_compare_refuses_an_empty_span_before_any_solve(monkeypatch, t_end,
                                                                     calibrate):
     # an empty span has no accepted step to measure; a backward one would
-    # first run calibration trials at h_min
+    # first run calibration trials at h_min, and an infinite one ran them without end
     import splitstep.control as control
 
     trials = []
