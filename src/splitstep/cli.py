@@ -335,17 +335,16 @@ _HANDLERS = {
 
 
 def _steady_heap() -> None:
-    """Pin glibc's mmap and trim thresholds at the ceilings of its own dynamic
-    rule (mallopt(3)): freed 2D temporaries then stay on the heap, not trimmed
-    and faulted back in on every step.  Without ``mallopt`` nothing is done."""
+    """Pin glibc's mmap and trim thresholds at its dynamic rule's ceilings (mallopt(3)), so
+    freed 2D temporaries stay on the heap, not trimmed and faulted back in every step."""
     import ctypes
 
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):  # no C library, symbol or dlopen(NULL)
         return
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD; refused above the C library's ceiling
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, alone worse than neither
 
 
 def main(argv=None) -> int:

@@ -37,6 +37,7 @@ import numpy as np
 from .control import (
     StepControlConfig,
     _first_step,
+    _span,
     calibrate_initial_step,
     integrate_adaptive,
     integrate_fixed,
@@ -395,12 +396,12 @@ def efficiency_compare(
     the minimum.  The final clipped landing step is likewise excluded
     from the minimum.  The equidistant run uses the bare integrator.
     """
-    if not 0 < t_end - t0 < np.inf:  # nothing to measure, or calibration trials without end
-        raise ConfigError(f"efficiency_compare: t_end={t_end!r} must exceed t0={t0!r} by a "
-                          "finite span")
+    if not t_end > t0:  # no accepted step to measure; refused before calibration solves
+        raise ConfigError(f"efficiency_compare: t_end={t_end!r} must exceed t0={t0!r}")
+    span = _span(t0, t_end)  # an infinite one ran calibration trials without end
     if calibrate and cfg.h_init is None:
-        probe = replace(cfg, h_max=max(cfg.h_min, min(cfg.h_max, t_end - t0)))
-        h0 = _first_step(probe, pair, t_end - t0)
+        probe = replace(cfg, h_max=max(cfg.h_min, min(cfg.h_max, span)))
+        h0 = _first_step(probe, pair, span)
         cfg = replace(cfg, h_init=calibrate_initial_step(prob, pair, f0, probe, h0=h0))
     _, traj = integrate_adaptive(prob, pair, f0, t0, t_end, cfg)
     acc = traj.accepted_steps()

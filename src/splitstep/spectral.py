@@ -320,7 +320,7 @@ def to_modal(f: Field) -> Field:
     dim, half = f.grid.dim, f.is_real
     c = np.fft.rfft(f.data, axis=dim, norm="forward") if half else f.data
     for axis in range(dim - half, 0, -1):
-        c = np.fft.fft(c, axis=axis, norm="forward", out=None if c is f.data else c)
+        c = np.fft.fft(c, axis=axis, norm="forward")
     return Field._of(f.grid, c, MODAL)
 
 
@@ -331,7 +331,7 @@ def to_nodal(f: Field) -> Field:
     dim, half = f.grid.dim, f.is_real
     u = f.data
     for axis in range(dim - half, 0, -1):
-        u = np.fft.ifft(u, axis=axis, norm="forward", out=None if u is f.data else u)
+        u = np.fft.ifft(u, axis=axis, norm="forward")
     if half:
         u = np.fft.irfft(u, n=f.grid.n, axis=dim, norm="forward")
     return Field._of(f.grid, u, NODAL)
