@@ -2,9 +2,12 @@
 Three local error estimators on one step
 ========================================
 
-Compares the embedded, adjoint-average, and Milne-device estimators
-against the true local error (from a reference solve) as the step
-shrinks.  All three are asymptotically correct: est/true tends to 1.
+Compares an embedded estimator and two Milne-device estimators against
+the true local error (from a reference solve) as the step shrinks.
+``lie-avg`` is a Milne pair without partner, which takes the adjoint
+and gamma = -1, i.e. the adjoint average; ``lie-milne`` names the same
+partner and gamma, so its rows repeat the ``lie-avg`` rows.  All are
+asymptotically correct: est/true tends to 1.
 """
 
 import math
@@ -39,5 +42,5 @@ for pair in pairs:
               f"{result.est_norm / true:7.4f}")
     print()
 
-# the Milne pair above uses gamma = -1, for which the device reduces
-# exactly to the adjoint average of the A-first and B-first Lie steps
+# lie-milne names lie* with gamma = -1, the partner and weight that lie-avg
+# takes by default: the adjoint average of the A-first and B-first Lie steps

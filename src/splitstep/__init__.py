@@ -3,10 +3,10 @@
 Layers, bottom up: ``spectral`` (grids, fields, transforms, norms),
 ``problems`` (split systems with closed-form or cheap flows),
 ``schemes`` (coefficient words, adjoints, registry, scheme files),
-``estimators`` (embedded / adjoint-average / Milne local error
-estimates), ``control`` (step-size controller and integration drivers),
-``diagnostics`` (convergence, efficiency and commutator studies), and
-``cli`` (the command-line front end).
+``estimators`` (embedded and Milne local error estimates, the adjoint
+average a Milne one), ``control`` (step-size controller and integration
+drivers), ``diagnostics`` (convergence, efficiency and commutator
+studies), and ``cli`` (the command-line front end).
 """
 
 from .exceptions import (

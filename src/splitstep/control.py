@@ -163,6 +163,8 @@ def _trial(prob: SplitProblem, pair: SchemePair, h: float, f: Field,
     """(estimate, h) of the first trial step from ``f`` whose flows do not
     fail: a failed one is a rejection (est None, 0 flows) retried at
     h*alpha_min, down to h_min.  ``t`` is None in calibration."""
+    if not 0 < h < np.inf:  # NaN too; an infinite h is retried without end
+        raise ConfigError(f"step h must be positive and finite, got {h}")
     while True:
         try:
             return estimate_step(pair, prob, h, f, norm=cfg.norm), h

@@ -128,15 +128,15 @@ def reference_solution(
 
     ``target`` maps Sobolev index s to the acceptable floor; None means
     1e-10 relative to the solution norm.  Returns (state, info) with
-    info = {"scheme", "h", "floor": {s: the rung's delta}}; the state
-    is read-only.  ``solves`` shares the ladder's solves with other
-    callers from the same (prob, f0).
+    info = {"scheme", "h", "floor": {s: the rung's delta}}; the state is
+    read-only: ``f0`` for an empty span (a backward or non-finite one is
+    refused).  ``solves`` shares solves with callers from the same (prob, f0).
     """
     if scheme is None:
         reg = registry if registry is not None else builtin_registry()
         scheme = reg.reference_scheme(arity=prob.arity)
-    span = t_end - t0
-    if span <= 0:
+    span = _span(t0, t_end)
+    if span == 0:
         return f0, {"scheme": scheme.name, "h": 0.0, "floor": {s: 0.0 for s in norms}}
     solves = _solves_for(prob, f0, solves)
 

@@ -1,12 +1,12 @@
 """A-posteriori local error estimators built from scheme pairs.
 
 Every estimator produces the integrator value S(h, u), a higher-quality
-control value, and est_norm = ||S(h, u) - control||.  Every pair kind is
-one recipe, set out in :class:`SchemePair`: the integrator's first
-``shared_prefix_len`` stages run once, then the integrator S and the
-pair's second scheme S~ finish from that state.  The control value is S~
-itself when the pair has no Milne weight ``gamma``, and otherwise
--gamma/(1-gamma)*S + 1/(1-gamma)*S~, so est = ||(S - S~)/(1-gamma)||.
+control value, and est_norm = ||S(h, u) - control||.  Both pair kinds are
+one recipe (:class:`SchemePair`): the first ``shared_prefix_len`` stages
+run once, then S and the second scheme S~ finish from that state.  The
+control value is S~ for an embedded pair and -gamma/(1-gamma)*S +
+1/(1-gamma)*S~ for a Milne pair, so est = ||(S - S~)/(1-gamma)||; the
+adjoint average (S + S*)/2 is the Milne pair with S~ = S*, gamma = -1.
 
 Norms are the discrete L2 norm over all components by default; a nodal
 max norm is available for controllers that prefer it.

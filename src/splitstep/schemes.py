@@ -214,8 +214,7 @@ def compose_step(scheme: SplittingScheme, prob: SplitProblem, h: complex, f: Fie
 # in the listing (str() of a pair); the loader and save_scheme_file read it too.
 _PAIR_FIELDS = {
     "embedded": (("controller", "controller"), ("shared_prefix_len", "shared prefix")),
-    "milne": (("partner", "partner"), ("gamma", "gamma")),
-    "adjoint_average": ()}
+    "milne": (("partner", "partner"), ("gamma", "gamma"))}
 
 
 def _named(value):  # a pair field as listed and saved: a scheme by its name
@@ -230,17 +229,16 @@ class SchemePair:
     stages run once, the integrator and the ``second`` scheme finish from
     there, and the control value is the second scheme's value, or, when
     ``gamma`` is set, its Milne combination with the integrator's.
-    ``gamma`` is the Milne weight of both Milne kinds; an embedded pair
-    clears it to None, and a Milne-kind pair clears the prefix to 0.
+    An embedded pair clears ``gamma`` to None, and a Milne pair clears
+    the prefix to 0.
 
-    kind = "embedded":        second = controller of order p+1; only this
-                              kind shares a prefix.
-    kind = "milne":           second = partner of order p whose leading
-                              error constant is gamma times the
-                              integrator's; requires a finite gamma != 1.
-    kind = "adjoint_average": Milne with partner = the adjoint and
-                              gamma = -1, i.e. control (S + S*)/2;
-                              requires odd order p.
+    kind = "embedded": second = controller of order p+1; only this kind
+                       shares a prefix.
+    kind = "milne":    second = partner of order p whose leading error
+                       constant is gamma times the integrator's; requires
+                       a finite gamma != 1.  Without a partner it takes
+                       the integrator's adjoint and gamma = -1, i.e.
+                       control (S + S*)/2, which requires odd order p.
     """
 
     name: str
@@ -261,11 +259,11 @@ class SchemePair:
             raise ConfigError(f"{self.name}: unknown pair kind {self.kind!r}")
         p = self.integrator.order
         embedded = self.kind == "embedded"
-        if self.kind == "adjoint_average":
-            if p % 2 == 0:
-                raise ConfigError(
-                    f"{self.name}: adjoint-average estimators require odd order, got {p}"
-                )
+        if not embedded and self.partner is None:  # the adjoint average (S + S*)/2:
+            # for odd p, and only then, the leading error of S* is -1 times S's
+            if p % 2 == 0 or self.gamma not in (None, -1):
+                raise ConfigError(f"{self.name}: a Milne pair without partner needs odd order "
+                                  f"and gamma -1, got order {p}, gamma {self.gamma}")
             object.__setattr__(self, "partner", adjoint(self.integrator))
             object.__setattr__(self, "gamma", -1.0)
         role, q = ("controller", p + 1) if embedded else ("partner", p)
@@ -402,11 +400,11 @@ def builtin_registry() -> SchemeRegistry:
     for s in (lie, lie_adj, strang, comp3c, emb2c, lie3, strang3):
         reg.add(s)
 
-    reg.add_pair(SchemePair("lie-avg", "adjoint_average", lie))
+    reg.add_pair(SchemePair("lie-avg", "milne", lie))
     reg.add_pair(SchemePair("lie-milne", "milne", lie, partner=lie_adj, gamma=-1.0))
-    reg.add_pair(SchemePair("comp3c-avg", "adjoint_average", comp3c))
+    reg.add_pair(SchemePair("comp3c-avg", "milne", comp3c))
     reg.add_pair(SchemePair("emb23c", "embedded", emb2c, controller=comp3c, shared_prefix_len=1))
-    reg.add_pair(SchemePair("lie3-avg", "adjoint_average", lie3))
+    reg.add_pair(SchemePair("lie3-avg", "milne", lie3))
     return reg
 
 
@@ -426,9 +424,9 @@ def builtin_registry() -> SchemeRegistry:
 #
 #   {"name": str, "kind": "embedded", "integrator": str, "controller": str,
 #    "shared_prefix_len": int (optional, default 0)}
-#   {"name": str, "kind": "milne", "integrator": str, "partner": str,
-#    "gamma": number | [re, im]}
-#   {"name": str, "kind": "adjoint_average", "integrator": str}
+#   {"name": str, "kind": "milne", "integrator": str,
+#    "partner": str (optional, default the integrator's adjoint),
+#    "gamma": number | [re, im] (-1 and optional without partner)}
 # An entry takes only its kind's keys, each read through spectral's _value.
 # ---------------------------------------------------------------------------
 
@@ -511,11 +509,12 @@ def save_scheme_file(path, schemes=(), pairs=()) -> None:
              "parabolic_safe": s.parabolic_safe, "palindromic": s.palindromic}
             for s in schemes
         ]
-    if pairs:
+    if pairs:  # a Milne pair's default partner and gamma are left out: S* may be unregistered
         doc["pairs"] = [
             {"name": p.name, "kind": p.kind, "integrator": p.integrator.name,
              **{key: _dump_complex(p.gamma) if key == "gamma" else _named(getattr(p, key))
-                for key, _ in _PAIR_FIELDS[p.kind]}}
+                for key, _ in _PAIR_FIELDS[p.kind]
+                if not (p.order % 2 and (p.partner, p.gamma) == (adjoint(p.integrator), -1))}}
             for p in pairs
         ]
     _write_lines(path, [json.dumps(doc, indent=2)])

@@ -573,7 +573,7 @@ def test_compare_calibration_that_cannot_succeed_exits_3(tmp_path, capsys):
     extra = tmp_path / "neg.json"
     extra.write_text(json.dumps({
         "schemes": [{"name": "neg1", "order": 1, "stages": [[-0.5, 0.5], [1.5, 0.5]]}],
-        "pairs": [{"name": "neg1-avg", "kind": "adjoint_average", "integrator": "neg1"}],
+        "pairs": [{"name": "neg1-avg", "kind": "milne", "integrator": "neg1"}],
     }))
     cfg = write_cfg(
         tmp_path,
@@ -596,12 +596,16 @@ def test_compare_calibration_that_cannot_succeed_exits_3(tmp_path, capsys):
 # --------------------------------------------------- console entry
 
 
+# the source tree of the splitstep this process imported, for child processes to import
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
+
 def test_module_invocation_round_trip(tmp_path):
     cfg = write_cfg(tmp_path, gs_config())
     proc = subprocess.run(
         [sys.executable, "-m", "splitstep.cli", "run",
          "--config", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
     )
     assert proc.returncode == 0, proc.stderr
     assert "accepted" in proc.stdout
@@ -640,7 +644,7 @@ def test_steady_heap_keeps_freed_temporaries_without_faults():
     # process has, and imports the splitstep this process imported
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = SRC
 
     def faults(helper):
         proc = subprocess.run([sys.executable, "-c", _CYCLES, helper],

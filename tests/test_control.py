@@ -255,6 +255,24 @@ def test_integrate_refuses_a_non_finite_span_end_before_any_step(
     assert steps == []
 
 
+@pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -0.1])
+@pytest.mark.parametrize("driver", ["step", "calibrate"])
+def test_a_first_step_not_positive_and_finite_is_refused_before_any_trial(monkeypatch, driver, h):
+    # an infinite h retried at h*alpha_min without end; a NaN one was accepted at h_min;
+    # a negative one failed its trial step and aborted as a numerical failure
+    import splitstep.control as control
+
+    trials = []
+    monkeypatch.setattr(control, "estimate_step", lambda *a, **kw: trials.append(a))
+    cfg = StepControlConfig(tol=1e-4)
+    with pytest.raises(ConfigError, match="positive and finite"):
+        if driver == "step":
+            step_adaptive(lin_prob(), REG.pair("lie-avg"), 0.0, h, lin_state(), cfg)
+        else:
+            calibrate_initial_step(lin_prob(), REG.pair("lie-avg"), lin_state(), cfg, h)
+    assert trials == []
+
+
 @pytest.mark.parametrize("every", [0, -2, 1.5, True])
 def test_integrate_adaptive_refuses_a_snapshot_every_below_one_or_not_an_integer(
         monkeypatch, every):

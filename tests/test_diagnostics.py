@@ -107,6 +107,13 @@ def test_reference_solution_empty_span():
     assert ref is f and info["h"] == 0.0
 
 
+@pytest.mark.parametrize("t0, t_end", [(0.5, 0.2), (0.0, np.inf), (0.0, np.nan), (np.nan, 0.2)])
+def test_reference_solution_refuses_a_backward_or_non_finite_span(t0, t_end):
+    # a backward span returned f0 itself, with h 0.0 and floor 0, as if it were empty
+    with pytest.raises(ConfigError, match="t0 <= t_end"):
+        reference_solution(lin_prob(), lin_state(), t0, t_end)
+
+
 # ---------------------------------------------------------------------------
 # fixed-step memo and one-step reference ladders
 

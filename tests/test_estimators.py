@@ -209,7 +209,7 @@ def test_degenerate_pair_estimates_zero():
     fake = SplittingScheme("fake_odd", 1, REG.scheme("strang").stages)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegeneratePairWarning)
-        pair = SchemePair("degen", "adjoint_average", fake)
+        pair = SchemePair("degen", "milne", fake)
     res = estimate_step(pair, linear_test_problem(), 0.05, smooth_state(7))
     assert res.est_norm == 0.0
 

@@ -27,7 +27,9 @@ from splitstep import (
     apply_word,
     builtin_registry,
     compose_step,
+    estimate_step,
     gray_scott_abc_problem,
+    initial_condition,
     is_self_adjoint,
     linear_problem,
     load_scheme_file,
@@ -303,19 +305,21 @@ def test_pair_validation_embedded():
 
 
 def test_pair_validation_averages():
-    with pytest.raises(ConfigError):
-        SchemePair("x", "adjoint_average", REG.scheme("strang"))  # even order
-    with pytest.raises(ConfigError):
-        SchemePair("x", "adjoint_average", REG.scheme("emb2c"))  # even order
-    lie_avg = SchemePair("x", "adjoint_average", REG.scheme("lie"))
-    assert lie_avg.partner == REG.scheme("lie*")
+    # a Milne pair without partner averages with the adjoint, which needs odd order
+    with pytest.raises(ConfigError, match="odd order"):
+        SchemePair("x", "milne", REG.scheme("strang"))  # even order
+    with pytest.raises(ConfigError, match="odd order"):
+        SchemePair("x", "milne", REG.scheme("emb2c"))  # even order
+    lie_avg = SchemePair("x", "milne", REG.scheme("lie"))
+    assert lie_avg.partner == REG.scheme("lie*") and lie_avg.gamma == -1.0
     # palindromic or not, an odd-order integrator averages with its adjoint
     assert REG.scheme("lie").palindromic and not REG.scheme("comp3c").palindromic
-    avg = SchemePair("x", "adjoint_average", REG.scheme("comp3c"))
-    assert avg.partner.stages == adjoint(REG.scheme("comp3c")).stages
-    # "palindromic" was a checked alias of this kind and is no kind now
-    with pytest.raises(ConfigError, match="unknown pair kind 'palindromic'"):
-        SchemePair("x", "palindromic", REG.scheme("lie"))
+    avg = SchemePair("x", "milne", REG.scheme("comp3c"), gamma=-1)
+    assert avg.partner.stages == adjoint(REG.scheme("comp3c")).stages and avg.gamma == -1.0
+    # "palindromic" and "adjoint_average" computed what a partnerless Milne pair computes
+    for kind in ("palindromic", "adjoint_average"):
+        with pytest.raises(ConfigError, match=f"unknown pair kind '{kind}'"):
+            SchemePair("x", kind, REG.scheme("lie"))
 
 
 def test_pair_validation_milne():
@@ -348,12 +352,15 @@ def test_pair_recipe_per_kind():
 
 
 def test_average_pair_ignores_stray_keys():
-    # the kind picks the second scheme: the adjoint, never a stray key
+    # without a partner the second scheme is the adjoint, never a stray key
     lie, strang = REG.scheme("lie"), REG.scheme("strang")
-    avg = SchemePair("x", "adjoint_average", lie, controller=strang, partner=strang,
-                     gamma=2.0, shared_prefix_len=1)
+    avg = SchemePair("x", "milne", lie, controller=strang, shared_prefix_len=1)
     assert avg.second == REG.scheme("lie*") and avg.partner == avg.second
     assert avg.shared_prefix_len == 0 and avg.gamma == -1.0
+    # a stray gamma is refused, not replaced by -1: the adjoint's weight is -1 for odd p
+    for gamma in (2.0, -0.5, complex(-1.0, 0.5), float("nan")):
+        with pytest.raises(ConfigError, match="gamma -1"):
+            SchemePair("x", "milne", lie, gamma=gamma)
 
 
 def test_pair_validation_second_scheme_arity():
@@ -369,7 +376,7 @@ def test_degenerate_pair_warns():
     # check but the adjoint coincides with the scheme: warn, est = 0
     fake = SplittingScheme("fake_odd", 1, REG.scheme("strang").stages)
     with pytest.warns(DegeneratePairWarning):
-        SchemePair("degen2", "adjoint_average", fake)
+        SchemePair("degen2", "milne", fake)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +388,7 @@ def test_registry_rejects_duplicates():
     with pytest.raises(SchemeFileError):
         reg.add(SplittingScheme("strang", 2, ((0.5, 1.0), (0.5, 0.0))))
     with pytest.raises(SchemeFileError):
-        reg.add_pair(SchemePair("lie-avg", "adjoint_average", reg.scheme("lie")))
+        reg.add_pair(SchemePair("lie-avg", "milne", reg.scheme("lie")))
 
 
 def test_registry_unknown_lookup_lists_choices():
@@ -437,7 +444,7 @@ def _custom_schemes():
 def test_scheme_file_round_trip(tmp_path):
     s1, s2 = _custom_schemes()
     pairs = [
-        SchemePair("tj-avg", "adjoint_average", s2),
+        SchemePair("tj-avg", "milne", s2),
         SchemePair("tj-milne", "milne", s2, partner=adjoint(s2), gamma=-1.0),
     ]
     path = tmp_path / "custom.json"
@@ -576,12 +583,12 @@ def test_scheme_file_error_names_its_entry_once(tmp_path):
     assert str(info.value) == (
         f"{path}: scheme 'x': slot 0 coefficients sum to (0.5+0j), expected 1")
     path.write_text(json.dumps({
-        "pairs": [{"name": "y", "kind": "adjoint_average", "integrator": "strang"}],
+        "pairs": [{"name": "y", "kind": "milne", "integrator": "strang"}],
     }))
     with pytest.raises(SchemeFileError) as info:
         load_scheme_file(builtin_registry(), path)
-    assert str(info.value) == (
-        f"{path}: pair 'y': adjoint-average estimators require odd order, got 2")
+    assert str(info.value) == (f"{path}: pair 'y': a Milne pair without partner needs odd "
+                               "order and gamma -1, got order 2, gamma None")
     # a taken name used to be named twice: "scheme 'strang': duplicate scheme name 'strang'"
     path.write_text(json.dumps({
         "schemes": [{"name": "strang", "order": 2, "stages": [[0.5, 1.0], [0.5, 0.0]]}],
@@ -592,8 +599,8 @@ def test_scheme_file_error_names_its_entry_once(tmp_path):
     # built directly, a scheme or a pair still names itself, and so does a duplicate
     with pytest.raises(ConfigError, match=r"^x: slot 0 coefficients"):
         SplittingScheme("x", 1, ((0.5, 1.0),))
-    with pytest.raises(ConfigError, match=r"^y: adjoint-average"):
-        SchemePair("y", "adjoint_average", REG.scheme("strang"))
+    with pytest.raises(ConfigError, match=r"^y: a Milne pair without partner"):
+        SchemePair("y", "milne", REG.scheme("strang"))
     with pytest.raises(SchemeFileError, match=r"^strang: duplicate scheme name$"):
         builtin_registry().add(REG.scheme("strang"))
     with pytest.raises(SchemeFileError, match=r"^lie-avg: duplicate pair name$"):
@@ -659,9 +666,10 @@ def test_saved_scheme_file_bytes_are_pinned(tmp_path):
           "gamma": -1.0}, "gamma"),
         ({"kind": "milne", "integrator": "lie", "partner": "lie*", "gamma": -1.0,
           "shared_prefix_len": 1}, "shared_prefix_len"),
-        ({"kind": "adjoint_average", "integrator": "comp3c", "gamma": 0.5,
+        ({"kind": "milne", "integrator": "comp3c", "gamma": 0.5,
           "controller": "comp3c"}, "controller"),
-        ({"kind": "adjoint_average", "integrator": "lie", "partner": "lie*"}, "partner"),
+        ({"kind": "embedded", "integrator": "emb2c", "controller": "comp3c",
+          "partner": "lie*"}, "partner"),
     ],
 )
 def test_pair_entry_with_a_key_its_kind_does_not_take_exits_2(tmp_path, capsys, entry, key):
@@ -686,7 +694,32 @@ def test_palindromic_is_no_pair_kind(tmp_path, capsys):
     assert main(["schemes", "--schemes", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{path}: pair 'x': pair.kind: " in err, err
-    assert "one of ['adjoint_average', 'embedded', 'milne'], got 'palindromic'" in err, err
+    assert "one of ['embedded', 'milne'], got 'palindromic'" in err, err
+
+
+def test_adjoint_average_entry_is_a_partnerless_milne_pair_of_odd_order(tmp_path, capsys):
+    from splitstep.cli import main
+
+    path = tmp_path / "avg.json"
+    for entry, message in [
+        ({"kind": "adjoint_average", "integrator": "lie"},
+         "pair.kind: expected a pair kind, one of ['embedded', 'milne'], got 'adjoint_average'"),
+        ({"kind": "milne", "integrator": "strang"}, "needs odd order and gamma -1, got order 2"),
+        ({"kind": "milne", "integrator": "lie", "gamma": 0.5}, "got order 1, gamma 0.5"),
+        ({"kind": "milne", "integrator": "comp3c", "gamma": [-1.0, 0.5]}, "gamma (-1+0.5j)"),
+    ]:
+        path.write_text(json.dumps({"pairs": [{"name": "x", **entry}]}))
+        assert main(["schemes", "--schemes", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{path}: pair 'x': " in err and message in err, err
+    # without a gamma, or with gamma -1, an odd-order entry averages with the adjoint
+    for gamma in ({}, {"gamma": -1}, {"gamma": [-1.0, 0.0]}):
+        path.write_text(json.dumps({"pairs": [
+            {"name": "x", "kind": "milne", "integrator": "comp3c", **gamma}]}))
+        reg = builtin_registry()
+        load_scheme_file(reg, path)
+        assert str(reg.pair("x")) == "x: milne over comp3c (order 3), partner comp3c*, gamma -1.0"
 
 
 def test_str_of_every_builtin_is_its_listing_line(capsys):
@@ -701,7 +734,7 @@ def test_str_of_every_builtin_is_its_listing_line(capsys):
         "strang: order 2, arity 2, 2 stages, 3 flows [parabolic-safe]")
     assert str(REG.pair("emb23c")) == (
         "emb23c: embedded over emb2c (order 2), controller comp3c, shared prefix 1")
-    assert str(REG.pair("lie-avg")) == "lie-avg: adjoint_average over lie (order 1)"
+    assert str(REG.pair("lie-avg")) == "lie-avg: milne over lie (order 1), partner lie*, gamma -1.0"
 
 
 def test_milne_pair_with_complex_gamma_lists_its_gamma_as_a_python_complex(tmp_path, capsys):
@@ -724,7 +757,7 @@ def test_saved_pair_of_every_kind_bytes_are_pinned(tmp_path):
                    shared_prefix_len=1),
         SchemePair("m", "milne", REG.scheme("lie"), partner=REG.scheme("lie*"),
                    gamma=complex(-1.0, 0.5)),
-        SchemePair("a", "adjoint_average", REG.scheme("comp3c")),
+        SchemePair("a", "milne", REG.scheme("comp3c")),  # the adjoint average
     ]
     path = tmp_path / "pairs.json"
     save_scheme_file(path, pairs=pairs)
@@ -750,7 +783,7 @@ def test_saved_pair_of_every_kind_bytes_are_pinned(tmp_path):
     },
     {
       "name": "a",
-      "kind": "adjoint_average",
+      "kind": "milne",
       "integrator": "comp3c"
     }
   ]
@@ -759,3 +792,38 @@ def test_saved_pair_of_every_kind_bytes_are_pinned(tmp_path):
     reg = builtin_registry()
     load_scheme_file(reg, path)
     assert [str(reg.pair(p.name)) for p in pairs] == [str(p) for p in pairs]
+    for pair in pairs:
+        assert_same_estimates(reg.pair(pair.name), pair)
+
+
+def assert_same_estimates(got, pair):
+    """``got`` steps and estimates bitwise as ``pair`` does."""
+    grid = TorusGrid(1, 1.0, 16)
+    if pair.integrator.arity == 2:
+        prob = linear_problem(grid, diffusion=0.2, potential=lambda x: np.cos(np.pi * x))
+        f = initial_condition("random_smooth", grid, m=1, seed=3)
+    else:
+        prob, f = gray_scott_abc_problem(grid), initial_condition("gs_bump", grid)
+    a, b = (estimate_step(p, prob, 0.05, f) for p in (pair, got))
+    for u, v in ((a.u_next, b.u_next), (a.u_control, b.u_control)):
+        assert u.space == v.space and np.array_equal(u.data, v.data), pair.name
+    assert (a.est_norm, a.flow_evals) == (b.est_norm, b.flow_evals), pair.name
+
+
+def test_every_builtin_pair_saved_under_a_fresh_name_loads_back(tmp_path):
+    # a saved file names only registered schemes: comp3c-avg's partner comp3c* is none
+    reg = builtin_registry()
+    pairs = [SchemePair("file-" + p.name, p.kind, p.integrator, controller=p.controller,
+                        partner=p.partner, gamma=p.gamma, shared_prefix_len=p.shared_prefix_len)
+             for p in reg.pairs.values()]
+    pairs.append(SchemePair("file-cmilne", "milne", reg.scheme("lie"),
+                            partner=reg.scheme("lie*"), gamma=complex(-1.0, 0.5)))
+    path = tmp_path / "pairs.json"
+    save_scheme_file(path, pairs=pairs)
+    saved = {e["name"]: e for e in json.loads(path.read_text())["pairs"]}
+    assert "partner" not in saved["file-comp3c-avg"] and "gamma" not in saved["file-lie-milne"]
+    assert saved["file-cmilne"]["partner"] == "lie*"  # its gamma is not the default
+    load_scheme_file(reg, path)
+    for pair in pairs:
+        assert str(reg.pair(pair.name)) == str(pair)
+        assert_same_estimates(reg.pair(pair.name), pair)

@@ -17,8 +17,8 @@ each tree, in a fresh temporary directory per run, the script
   on the linear problem and one of three on stiff van der Pol) the same
   way, writing the config into the run's directory;
 * runs ``splitstep schemes`` and collects the listing it prints;
-* saves a scheme file with a fresh-named pair of every kind (a Milne pair
-  with complex gamma among them) through ``save_scheme_file``, lists it
+* saves a scheme file with a fresh-named copy of every builtin pair and a
+  Milne pair with complex gamma through ``save_scheme_file``, lists it
   with ``splitstep schemes --schemes``, and collects the file and listing;
 * saves the same file again and runs its complex-gamma Milne pair
   adaptively on a small ``gray_scott`` config through ``splitstep run
@@ -55,7 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("run", "converge")
 
-# Saves one pair of every kind under a fresh name, and a Milne pair with complex gamma.
+# Saves every builtin pair under a fresh name, and a Milne pair with complex gamma.
 SAVE_PAIRS = """
 import json, sys
 from splitstep import SchemePair, builtin_registry, save_scheme_file
