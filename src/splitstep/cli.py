@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import StepControlConfig, integrate_adaptive, integrate_fixed, write_trajectory_csv
+from .control import (StepControlConfig, _span, integrate_adaptive, integrate_fixed,
+                      write_trajectory_csv)
 from .diagnostics import (
     _KINDS,
     FixedSolves,
@@ -53,8 +54,9 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _count, _floats, _number,
-                       _only, _read, _read_object, _times, _value, _write_lines, write_field)
+from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _count, _number, _only,
+                       _positives, _read, _read_object, _times, _value, _width, _write_lines,
+                       write_field)
 
 __all__ = ["main"]
 
@@ -94,11 +96,6 @@ _strings = _checked(_as_is, lambda v: isinstance(v, list)
                     and all(isinstance(x, str) for x in v), "a list of strings")
 _finite = _checked(_number, np.isfinite, "a finite number")
 _positive = _checked(_number, lambda x: x > 0, "a positive number")
-_width = _checked(_number, lambda x: 0 < x < np.inf, "a positive finite number")
-# steps and tolerances: an empty list would measure nothing
-_positives = _checked(_floats, lambda xs: xs and all(0 < x < np.inf for x in xs),
-                      "a non-empty list of positive finite numbers")
-_indices = _checked(_floats, lambda xs: all(0 <= s < np.inf for s in xs), "finite indices >= 0")
 
 
 def _each(read):
@@ -170,7 +167,7 @@ def _control_config(block: dict, where: str) -> StepControlConfig:
 
 
 def _setup(args, command: str, keys):
-    """Config, registry, problem, initial state, the command's block and its span.
+    """Config, registry, problem, initial state, the command's block, t0 and t_end.
 
     The block takes ``t0``, ``t_end`` and ``keys``, and refuses any other key.
     """
@@ -181,9 +178,6 @@ def _setup(args, command: str, keys):
     _only(block, command, {"t0", "t_end", *keys})
     t0 = _value(block, command, "t0", _finite, 0.0)
     t_end = _value(block, command, "t_end", _finite)
-    # a zero span is a no-op for run, but leaves converge and compare nothing to measure
-    if command != "run" and not t_end > t0:
-        raise ConfigError(f"{command}: t_end={t_end!r} must exceed t0={t0!r}")
     return cfg, reg, prob, f0, block, t0, t_end
 
 
@@ -249,10 +243,9 @@ def _cmd_converge(args) -> int:
     names = (_value(ccfg, "converge", "subjects", _strings, None)
              or [_value(ccfg, "converge", "subject", str)])
     subjects = [(name, reg.pairs.get(name) or reg.scheme(name)) for name in names]
-    hs = _value(ccfg, "converge", "hs", _positives)
-    norms = _value(ccfg, "converge", "norms", _indices, [0.0])
-    what = _value(ccfg, "converge", "what", _strings, _KINDS)
-    _study_inputs(t0, t_end, hs, norms, what, "converge.")  # refused before any solve
+    what = _value(ccfg, "converge", "what", _as_is, _KINDS)
+    hs, norms = _study_inputs(t0, t_end, _value(ccfg, "converge", "hs", _as_is),  # before any solve
+                              _value(ccfg, "converge", "norms", _as_is, [0.0]), what, "converge.")
     out = _out_dir(args)
     meta = _provenance(args, cfg)
     # the subjects share every fixed-step solve from f0 (reference ladders
@@ -277,6 +270,7 @@ def _cmd_compare(args) -> int:
     cfg, reg, prob, f0, ccfg, t0, t_end = _setup(
         args, "compare", ("pair", "control", "tols", "out", "calibrate"))
     pair = reg.pair(_value(ccfg, "compare", "pair", str))
+    _span(t0, t_end, "compare")  # before any solve, named after the block as converge's is
     base = _value(ccfg, "compare", "control", _object, {})
     tols = _value(ccfg, "compare", "tols", _positives, None) or [base.get("tol", 1e-4)]
     ctrls = [_control_config({**base, "tol": tol}, "compare.control") for tol in tols]

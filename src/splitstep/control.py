@@ -25,7 +25,8 @@ from .exceptions import ConfigError, NumericalError, ToleranceAbortError
 from .estimators import estimate_step
 from .problems import SplitProblem
 from .schemes import SchemePair, SplittingScheme, compose_step
-from .spectral import Field, _bool, _count, _integer, _number, _read, _times, _write_lines, to_nodal
+from .spectral import (Field, _as_is, _bool, _checked, _count, _number, _read, _times, _width,
+                       _write_lines, to_nodal)
 
 __all__ = [
     "StepControlConfig",
@@ -40,9 +41,13 @@ __all__ = [
 ]
 
 
-_READERS = {"order_p": _integer, "local_extrapolation": _bool, "project_real": _bool,
-            **dict.fromkeys(("tol", "alpha", "alpha_min", "alpha_max", "h_init", "h_min", "h_max",
-                             "reject_threshold"), _number)}
+_READERS = {  # one reader per field, each with its rule
+    "tol": _width, "alpha": _checked(_number, lambda x: 0 < x <= 1, "a number in (0, 1]"),
+    "alpha_min": _number, "alpha_max": _number, "order_p": _count, "h_init": _width,
+    "h_min": _width, "h_max": _number, "local_extrapolation": _bool, "project_real": _bool,
+    "norm": _checked(_as_is, lambda v: v in ("l2", "max"), "'l2' or 'max'"),
+    "reject_threshold": _checked(_number, lambda x: x >= 1,
+                                 "a number >= 1: below 1 rejects accepted-quality steps")}
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,9 @@ class StepControlConfig:
 
     ``order_p`` may be None, in which case the pair's integrator order
     is used.  ``h_init`` of None picks the crude default
-    (t_end - t0) * tol^(1/(p+1)) at integration start.
+    (t_end - t0) * tol^(1/(p+1)) at integration start.  Each field is read by
+    its rule in ``_READERS``, a ConfigError naming the field; then the rules
+    across fields: 0 < alpha_min < 1 < alpha_max < inf and h_min <= h_max.
     """
 
     tol: float
@@ -68,26 +75,13 @@ class StepControlConfig:
     project_real: bool = False
 
     def __post_init__(self):
-        for key, read in _READERS.items():  # each number, integer and flag by its reader
-            if getattr(self, key) is not None:  # order_p and h_init may be left unset
+        for key, read in _READERS.items():  # order_p and h_init may be left unset (None)
+            if getattr(self, key) is not None or key not in ("order_p", "h_init"):
                 object.__setattr__(self, key, _read(read, getattr(self, key), key))
-        if not 0 < self.tol < np.inf:
-            raise ConfigError(f"tol must be positive and finite, got {self.tol}")
-        if not 0 < self.alpha <= 1:
-            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not 0 < self.alpha_min < 1 < self.alpha_max < np.inf:
             raise ConfigError("need 0 < alpha_min < 1 < alpha_max < inf")
-        if not (0 < self.h_min < np.inf and self.h_min <= self.h_max):
-            raise ConfigError("need 0 < h_min <= h_max and h_min < inf")
-        if not self.reject_threshold >= 1.0:
-            raise ConfigError(f"reject_threshold must be >= 1, got {self.reject_threshold}: "
-                              "below 1 would reject accepted-quality steps")
-        if self.order_p is not None and self.order_p < 1:
-            raise ConfigError(f"order_p must be an integer >= 1, got {self.order_p!r}")
-        if self.h_init is not None and not 0 < self.h_init < np.inf:
-            raise ConfigError(f"h_init must be a positive finite number, got {self.h_init!r}")
-        if self.norm not in ("l2", "max"):
-            raise ConfigError(f"norm must be 'l2' or 'max', got {self.norm!r}")
+        if not self.h_min <= self.h_max:
+            raise ConfigError(f"need h_min <= h_max, got h_min={self.h_min}, h_max={self.h_max}")
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,7 @@ def _trial(prob: SplitProblem, pair: SchemePair, h: float, f: Field,
     """(estimate, h) of the first trial step from ``f`` whose flows do not
     fail: a failed one is a rejection (est None, 0 flows) retried at
     h*alpha_min, down to h_min.  ``t`` is None in calibration."""
-    if not 0 < h < np.inf:  # NaN too; an infinite h is retried without end
-        raise ConfigError(f"step h must be positive and finite, got {h}")
+    _read(_width, h, "h")  # NaN too; an infinite h is retried without end
     while True:
         try:
             return estimate_step(pair, prob, h, f, norm=cfg.norm), h
@@ -197,8 +190,11 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
         h = h_next
 
 
-def _span(t0: float, t_end: float) -> float:
-    """t_end - t0 of a run, refused unless both ends are finite and t_end >= t0."""
+def _span(t0: float, t_end: float, who: Optional[str] = None) -> float:
+    """t_end - t0, refused unless both ends are finite and t_end >= t0; a caller
+    that names itself ``who`` measures the span, so it refuses an empty one too."""
+    if who is not None and not t_end > t0:  # NaN too
+        raise ConfigError(f"{who}: t_end={t_end!r} must exceed t0={t0!r}")
     if not (np.isfinite(t0) and np.isfinite(t_end) and t_end >= t0):
         raise ConfigError(f"need finite t0 <= t_end, got t0={t0}, t_end={t_end}")
     return t_end - t0
@@ -259,8 +255,7 @@ def integrate_fixed(prob: SplitProblem, scheme: SplittingScheme, f0: Field,
     (state, Trajectory).
     """
     span = _span(t0, t_end)
-    if not h > 0:  # NaN too
-        raise ConfigError(f"h must be positive, got {h}")
+    _read(_width, h, "h")  # NaN too, and an infinite h would step once
     traj = Trajectory()
     if t_end == t0:
         return f0, traj
@@ -283,8 +278,12 @@ def calibrate_initial_step(prob: SplitProblem, pair: SchemePair, f0: Field,
     Runs ``iters`` estimate/update rounds from h0 without advancing the
     state; useful when the startup transient should be excluded.  A trial
     step whose flows fail (stiff flows probed far beyond their stability
-    range) is rejected as in :func:`step_adaptive`, down to h_min.
+    range) is rejected as in :func:`step_adaptive`, down to h_min.  An h0
+    that is not positive and finite, or ``iters`` that is not a positive
+    integer, is a ConfigError before any round.
     """
+    _read(_width, h0, "h0")
+    _read(_count, iters, "iters")
     p = _order(cfg, pair)
     h = h0
     for _ in range(iters):

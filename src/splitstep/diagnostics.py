@@ -43,11 +43,12 @@ from .control import (
     integrate_fixed,
 )
 from .estimators import _match_space, estimate_step
-from .exceptions import ConfigError, NumericalError, ReferenceAccuracyError
+from .exceptions import NumericalError, ReferenceAccuracyError
 from .problems import GrayScottParams, SplitProblem, _gs_rhs_a, _gs_rhs_b, gs_commutator
 from .schemes import (SchemePair, SchemeRegistry, SplittingScheme, builtin_registry,
                       compose_step, is_self_adjoint)
-from .spectral import Field, _write_lines, sobolev_norm
+from .spectral import (Field, _as_is, _checked, _floats, _positives, _read, _write_lines,
+                       sobolev_norm)
 
 __all__ = [
     "FixedSolves",
@@ -258,9 +259,9 @@ def convergence_study(
     and the controller's own local error.  ``solves`` is a
     :class:`FixedSolves` memo for (prob, f0) shared by the studies of
     several subjects; their fixed-step solves (global errors, references,
-    one-step ladders) then run once.  Inputs it cannot measure (empty or
-    repeated norms or hs, no kind, global errors at an h above the span)
-    raise ConfigError before any solve.
+    one-step ladders) then run once.  Inputs it cannot measure (an empty
+    span, hs or norms not distinct and finite, h <= 0 or s < 0, no kind,
+    global errors at an h above the span) raise ConfigError before any solve.
     """
     hs, norms = _study_inputs(t0, t_end, hs, norms, what)
     solves = _solves_for(prob, f0, solves)
@@ -323,18 +324,22 @@ def convergence_study(
     return rep
 
 
+_kinds = _checked(_as_is, lambda v: isinstance(v, (list, tuple, set, frozenset)) and v
+                  and set(v) <= set(_KINDS), "'local' and/or 'global'")
+_indices = _checked(_floats, lambda xs: xs and len(set(xs)) == len(xs)
+                    and all(0 <= s < np.inf for s in xs), "distinct finite indices >= 0")
+
+
 def _study_inputs(t0, t_end, hs, norms, what, where=""):
-    """(hs in descending order, norms) of a study, or a ConfigError naming the
-    input it cannot measure after ``where``; global errors clip h > span."""
-    hs, norms = sorted((float(h) for h in hs), reverse=True), tuple(norms)
-    if not what or not set(what) <= set(_KINDS):  # a string is a set of letters
-        raise ConfigError(f"{where}what: expected 'local' and/or 'global', got {what!r}")
-    if not norms or len(set(norms)) < len(norms):
-        raise ConfigError(f"{where}norms: expected distinct indices, got {list(norms)!r}")
-    if not hs or len(set(hs)) < len(hs) or ("global" in what and hs[0] > t_end - t0):
-        raise ConfigError(f"{where}hs: expected distinct steps, none above the span "
-                          f"{t_end - t0!r} when global errors are measured, got {hs!r}")
-    return np.asarray(hs), norms
+    """(hs in descending order, norms) of a study, as floats, or a ConfigError before any
+    solve naming after ``where`` what it cannot measure: an empty span, no kind, a norm or a
+    step given twice or out of range, or, for global errors, a step above the span."""
+    span = _span(t0, t_end, where.rstrip(".") or "convergence_study")
+    _read(_kinds, what, f"{where}what")
+    norms = tuple(_read(_indices, norms, f"{where}norms"))
+    fits = _checked(_positives, lambda xs: len(set(xs)) == len(xs) and not ("global" in what
+                    and max(xs) > span), f"distinct steps, for global errors none above {span!r}")
+    return np.asarray(sorted(_read(fits, hs, f"{where}hs"), reverse=True)), norms
 
 
 def _one_step_reference(solves, ref_scheme, t0, h, norms, u1, res, max_halvings=10):
@@ -396,9 +401,7 @@ def efficiency_compare(
     the minimum.  The final clipped landing step is likewise excluded
     from the minimum.  The equidistant run uses the bare integrator.
     """
-    if not t_end > t0:  # no accepted step to measure; refused before calibration solves
-        raise ConfigError(f"efficiency_compare: t_end={t_end!r} must exceed t0={t0!r}")
-    span = _span(t0, t_end)  # an infinite one ran calibration trials without end
+    span = _span(t0, t_end, "efficiency_compare")  # refused before any calibration trial
     if calibrate and cfg.h_init is None:
         probe = replace(cfg, h_max=max(cfg.h_min, min(cfg.h_max, span)))
         h0 = _first_step(probe, pair, span)

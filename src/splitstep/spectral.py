@@ -49,7 +49,7 @@ configs, scheme files) goes through one reader, ``_read_object``, which
 requires a top-level object; ``_value`` reads each value in it through
 ``_read``, naming its block and key, and ``_only`` refuses the keys a
 block does not take.
-Numbers, integers and flags are read by ``_number``, ``_integer`` and ``_bool``.
+Numbers, integers, flags and steps are read by ``_number``, ``_integer``, ``_bool`` and ``_width``.
 """
 
 from __future__ import annotations
@@ -505,6 +505,7 @@ def _number(v) -> float:
 _integer = _checked(_as_is, lambda v: isinstance(v, Integral) and type(v) is not bool, "an integer")
 _count = _checked(_integer, lambda v: v >= 1, "a positive integer")
 _bool = _checked(_as_is, lambda v: isinstance(v, (bool, np.bool_)), "true or false")
+_width = _checked(_number, lambda x: 0 < x < np.inf, "a positive finite number")  # steps too
 
 
 def _floats(v) -> list:
@@ -514,6 +515,8 @@ def _floats(v) -> list:
 
 
 _times = _checked(_floats, lambda xs: np.isfinite(xs).all(), "a list of finite numbers")
+_positives = _checked(_floats, lambda xs: xs and all(0 < x < np.inf for x in xs),
+                      "a non-empty list of positive finite numbers")
 
 
 def _write_lines(path, lines, preamble=None) -> None:

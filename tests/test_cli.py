@@ -463,7 +463,8 @@ def compare_config(**over):
         ("run", gs_config(control={"tol": 1e-4, "reject_threshold": math.nan}), "run.control"),
         ("run", gs_config(control={"tol": math.inf}), "run.control"),
         # an infinite h_min used to reject a whole-span step and exit 3
-        ("run", gs_config(control={"tol": 1e-4, "h_min": math.inf}), "run.control: need 0 < h_min"),
+        ("run", gs_config(control={"tol": 1e-4, "h_min": math.inf}),
+         "run.control: h_min: expected a positive finite number, got inf"),
         ("run", gs_config(control={"tol": 1e-4, "h_init": math.inf}), "run.control: h_init"),
         ("run", gs_config(control={"tol": 1e-4, "alpha_max": math.inf}), "run.control: need"),
         ("compare", compare_config(control={"reject_threshold": math.nan}), "compare.control"),
@@ -755,6 +756,9 @@ def _problem(**keys):
         ("run", _problem(diffusion=0.5), "problem: 'gray_scott' takes no ['diffusion']"),
         ("run", _problem(name="gray_scott_abc", rk4_substep=0.1),
          "problem: 'gray_scott_abc' takes no ['rk4_substep']"),
+        # one-step errors alone still need a span: the study reads it, not the CLI
+        ("converge", converge_config(t_end=0.0, what=["local"]),
+         "converge: t_end=0.0 must exceed t0=0.0"),
     ],
 )
 def test_empty_span_bad_substep_or_foreign_problem_key_exits_2_before_any_solve(

@@ -1,5 +1,7 @@
 """Step-size controller, adaptive/fixed drivers, trajectory output."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -255,21 +257,33 @@ def test_integrate_refuses_a_non_finite_span_end_before_any_step(
     assert steps == []
 
 
-@pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -0.1])
-@pytest.mark.parametrize("driver", ["step", "calibrate"])
-def test_a_first_step_not_positive_and_finite_is_refused_before_any_trial(monkeypatch, driver, h):
+@pytest.mark.parametrize("driver, h, iters, refused", [
+    *(pytest.param(driver, h, iters, f"{key}: expected a positive finite number, got {h!r}",
+                   id=f"{name}-{h}")
+      for name, driver, key, iters in (("step", "step", "h", None),
+                                       ("calibrate", "calibrate", "h0", 3),
+                                       ("calibrate-iters0", "calibrate", "h0", 0))
+      for h in (np.inf, np.nan, 0.0, -0.1)),
+    pytest.param("calibrate", 0.1, 1.5, "iters: expected an integer, got 1.5",
+                 id="calibrate-iters1.5"),
+    pytest.param("calibrate", 0.1, -2, "iters: expected a positive integer, got -2",
+                 id="calibrate-iters-2"),
+])
+def test_a_first_step_not_positive_and_finite_is_refused_before_any_trial(
+        monkeypatch, driver, h, iters, refused):
     # an infinite h retried at h*alpha_min without end; a NaN one was accepted at h_min;
-    # a negative one failed its trial step and aborted as a numerical failure
+    # a negative one failed its trial step and aborted as a numerical failure.  With no
+    # rounds, calibration returned h0 unchecked; iters=1.5 raised TypeError, and -2 ran none
     import splitstep.control as control
 
     trials = []
     monkeypatch.setattr(control, "estimate_step", lambda *a, **kw: trials.append(a))
     cfg = StepControlConfig(tol=1e-4)
-    with pytest.raises(ConfigError, match="positive and finite"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(refused)}$"):
         if driver == "step":
             step_adaptive(lin_prob(), REG.pair("lie-avg"), 0.0, h, lin_state(), cfg)
         else:
-            calibrate_initial_step(lin_prob(), REG.pair("lie-avg"), lin_state(), cfg, h)
+            calibrate_initial_step(lin_prob(), REG.pair("lie-avg"), lin_state(), cfg, h, iters)
     assert trials == []
 
 
@@ -377,10 +391,17 @@ def test_integrate_fixed_validation():
     assert f1 is f and not traj.records
 
 
-def test_integrate_fixed_refuses_a_nan_step():
-    # NaN compares false both ways; it used to reach int(ceil(span / h))
-    with pytest.raises(ConfigError, match="h must be positive"):
-        integrate_fixed(lin_prob(), REG.scheme("lie"), lin_state(), 0.0, 1.0, float("nan"))
+def test_integrate_fixed_refuses_a_nan_step(monkeypatch):
+    # NaN compares false both ways; it used to reach int(ceil(span / h)), and an
+    # infinite h took the whole span in one step
+    import splitstep.control as control
+
+    steps = []
+    monkeypatch.setattr(control, "compose_step", lambda *a, **kw: steps.append(a))
+    for h in (float("nan"), np.inf):
+        with pytest.raises(ConfigError, match=f"^h: expected a positive finite number, got {h!r}$"):
+            integrate_fixed(lin_prob(), REG.scheme("lie"), lin_state(), 0.0, 1.0, h)
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------

@@ -500,17 +500,33 @@ def test_convergence_study_refuses_unknown_kinds(what):
                           what=what)
 
 
-@pytest.mark.parametrize("hs, norms, what, key", [
-    ([0.01], (), ("local",), "norms"),
-    ([0.01], (1.0, 1.0), ("local",), "norms"),
-    ([], (0.0,), ("local",), "hs"),
-    ([0.01, 0.01], (0.0,), ("local",), "hs"),
-    ([0.8, 0.4], (0.0,), ("global",), "hs"),
+@pytest.mark.parametrize("hs, norms, what, key, t_end", [
+    # these five keep the ids they had before t_end was a parameter
+    *(pytest.param(*row, 0.2, id=f"hs{i}-norms{i}-what{i}-{row[3]}") for i, row in enumerate([
+        ([0.01], (), ("local",), "norms"),
+        ([0.01], (1.0, 1.0), ("local",), "norms"),
+        ([], (0.0,), ("local",), "hs"),
+        ([0.01, 0.01], (0.0,), ("local",), "hs"),
+        ([0.8, 0.4], (0.0,), ("global",), "hs"),
+    ])),
+    # holes the CLI's own readers used to close alone: float() read a string step, a
+    # negative step failed inside a flow, a negative index failed after the solves, and
+    # a local-only study ran over any span
+    pytest.param(["0.05", "0.025"], (0.0,), ("local",), "hs", 0.2, id="string-hs"),
+    pytest.param([0.05, -0.025], (0.0,), ("local",), "hs", 0.2, id="negative-hs"),
+    pytest.param([0.05], (-1.0,), ("local",), "norms", 0.2, id="negative-norm"),
+    pytest.param([0.05], (0.0,), ("local",), "convergence_study", -1.0, id="backward-span"),
+    pytest.param([0.05], (0.0,), ("local",), "convergence_study", 0.0, id="empty-span"),
 ])
-def test_convergence_study_refuses_norms_and_steps_it_cannot_measure(hs, norms, what, key):
+def test_convergence_study_refuses_norms_and_steps_it_cannot_measure(
+        monkeypatch, hs, norms, what, key, t_end):
+    solves = []
+    for name in ("estimate_step", "compose_step", "integrate_fixed"):
+        monkeypatch.setattr(diagnostics, name, lambda *a, **kw: solves.append(a))
     with pytest.raises(ConfigError, match=f"^{key}: "):
-        convergence_study(lin_prob(), REG.scheme("strang"), lin_state(), 0.0, 0.2, hs,
+        convergence_study(lin_prob(), REG.scheme("strang"), lin_state(), 0.0, t_end, hs,
                           norms=norms, what=what)
+    assert solves == []
 
 
 def test_local_study_takes_steps_above_the_span():

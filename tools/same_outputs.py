@@ -15,30 +15,32 @@ each tree, in a fresh temporary directory per run, the script
   table, a ``gs_rough`` start with float and integer ``initial_args``,
   one adaptive run with snapshots, a ``converge`` of two subjects
   on the linear problem and one of three on stiff van der Pol) the same
-  way, writing the config into the run's directory;
+  way, writing the config into the run's directory as its input;
 * runs ``splitstep schemes`` and collects the listing it prints;
 * saves a scheme file with a fresh-named copy of every builtin pair and a
   Milne pair with complex gamma through ``save_scheme_file``, lists it
   with ``splitstep schemes --schemes``, and collects the file and listing;
 * saves the same file again and runs its complex-gamma Milne pair
   adaptively on a small ``gray_scott`` config through ``splitstep run
-  --schemes``, and collects every file written (not the stdout);
+  --schemes``, and collects every file the run writes (not the stdout);
 * runs ``demos/01``-``05`` and collects their stdout and every file they
   write.
 
-It then compares the two trees' collections byte for byte and prints one
-line per run.  Under a run whose outputs differ it prints one line per
-differing output that both trees wrote: whether the row counts and, in a
-CSV with one, the ``accepted`` column match; whether the text around the
-numbers matches; and, for each position of a number among the lines with
-as many numbers (a header stays apart from the rows) where numbers moved,
-their largest relative and absolute difference and the relative L2
-difference over that position.  A difference at roundoff level shows as
-tiny values, with counts and verdicts that match.  Exit code 0 means
-everything is identical; 1 means some output differs (even at roundoff),
-or a run failed in either tree; 2 means bad arguments.  It reads
-``perfbench/`` and ``demos/`` of the checkout it lives in and writes
-nothing there.
+A job's own inputs (the config and the scheme file it writes before the
+run) are not collected: a change to the saved scheme file shows under
+the ``scheme file`` job alone.  It then compares the two trees'
+collections byte for byte and prints one line per run.  Under a run
+whose outputs differ it prints one line per differing output that both
+trees wrote: whether the row counts and, in a CSV with one, the
+``accepted`` column match; whether the text around the numbers matches;
+and, for each position of a number among the lines with as many numbers
+(a header stays apart from the rows) where numbers moved, their largest
+relative and absolute difference and the relative L2 difference over
+that position.  A difference at roundoff level shows as tiny values,
+with counts and verdicts that match.  Exit code 0 means everything is
+identical; 1 means some output differs (even at roundoff), or a run
+failed in either tree; 2 means bad arguments.  It reads ``perfbench/``
+and ``demos/`` of the checkout it lives in and writes nothing there.
 """
 
 from __future__ import annotations
@@ -137,30 +139,30 @@ def _subcommand(blocks: dict) -> str:
 
 
 def _jobs() -> list:
-    """(label, argv, compare stdout) of every run."""
+    """(label, argv, compare stdout, the input files the job writes) of every run."""
     jobs = []
     for cfg in sorted((ROOT / "perfbench" / "configs").glob("*.json")):
         with open(cfg) as fh:
             cmd = _subcommand(json.load(fh))
         argv = ["-m", "splitstep.cli", cmd, "--config", str(cfg), "--out", "."]
-        jobs.append((f"cli {cfg.stem}", argv, cmd == "converge"))
+        jobs.append((f"cli {cfg.stem}", argv, cmd == "converge", ()))
     for name, cfg in PROBLEM_CONFIGS.items():
         cmd = _subcommand(cfg)
         jobs.append((f"cli {name}", ["-c", PROBLEM_JOB.format(cfg=cfg, cmd=cmd)],
-                     cmd == "converge"))
-    jobs.append(("cli schemes", ["-m", "splitstep.cli", "schemes"], True))
-    jobs.append(("scheme file", ["-c", SCHEME_FILE_JOB], True))
-    jobs.append(("scheme file run", ["-c", CMILNE_RUN_JOB], False))
+                     cmd == "converge", ("cfg.json",)))
+    jobs.append(("cli schemes", ["-m", "splitstep.cli", "schemes"], True, ()))
+    jobs.append(("scheme file", ["-c", SCHEME_FILE_JOB], True, ()))
+    jobs.append(("scheme file run", ["-c", CMILNE_RUN_JOB], False, ("cfg.json", "pairs.json")))
     for demo in sorted((ROOT / "demos").glob("0[1-5]_*.py")):
-        jobs.append((f"demo {demo.stem}", [str(demo)], True))
+        jobs.append((f"demo {demo.stem}", [str(demo)], True, ()))
     return jobs
 
 
-def _collect(src: Path, argv: list, stdout: bool) -> tuple:
+def _collect(src: Path, argv: list, stdout: bool, inputs=()) -> tuple:
     """Run ``python argv`` against ``src`` in a fresh directory.
 
     Returns (return code, outputs): outputs maps "<stdout>" (if asked) and
-    the relative path of every file written to their bytes.
+    the relative path of every file written, but ``inputs``, to their bytes.
     """
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("SPLITSTEP_OUT", None)
@@ -171,8 +173,9 @@ def _collect(src: Path, argv: list, stdout: bool) -> tuple:
             sys.stderr.write(proc.stderr.decode(errors="replace"))
         out = {"<stdout>": proc.stdout} if stdout else {}
         for path in sorted(Path(tmp).rglob("*")):
-            if path.is_file() and "__pycache__" not in path.parts:
-                out[str(path.relative_to(tmp))] = path.read_bytes()
+            name = str(path.relative_to(tmp))
+            if path.is_file() and "__pycache__" not in path.parts and name not in inputs:
+                out[name] = path.read_bytes()
     return proc.returncode, out
 
 
@@ -233,8 +236,8 @@ def main(argv=None) -> int:
             print(f"{tree}: no splitstep package", file=sys.stderr)
             return 2
     ok = True
-    for label, job, stdout in _jobs():
-        (rc_a, a), (rc_b, b) = (_collect(tree, job, stdout) for tree in trees)
+    for label, job, stdout, inputs in _jobs():
+        (rc_a, a), (rc_b, b) = (_collect(tree, job, stdout, inputs) for tree in trees)
         differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
         if rc_a or rc_b:
             print(f"FAILED   {label}: exit codes {rc_a} / {rc_b}")
