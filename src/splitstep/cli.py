@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    splitstep run      --config cfg.json [--schemes extra.json ...] [--out DIR]
+    splitstep run      --config cfg.json [--schemes extra.json ...] [--out DIR] [--seed N]
     splitstep converge --config cfg.json [...]
     splitstep compare  --config cfg.json [...]
     splitstep schemes  [--schemes extra.json ...]
@@ -11,9 +11,10 @@ The config is a single JSON file with a "problem" block plus one block
 per subcommand; see the README for the full schema.  Every value is read
 through ``spectral._value`` as in scheme files, each number, integer and
 flag by ``_number``, ``_integer`` or ``_bool``, and every block refuses
-the keys it does not read through ``spectral._only``, all before any
-solve; the problems and the keys each takes live in one table,
-``_PROBLEMS``, and the keys of each run mode in ``_RUN_MODES``.  Exit
+the keys it does not read through ``spectral._only`` (a control block reads
+the fields of ``StepControlConfig``), all before any solve; the problems and
+the keys each takes live in one table, ``_PROBLEMS``, and the keys of each
+run mode in ``_RUN_MODES``.  Each subcommand takes only the flags it reads.  Exit
 codes are a stable contract: 0 success, 2 configuration/input errors, 3
 numerical failures.  Outputs land in --out (or $SPLITSTEP_OUT, default ".").
 Runs of the same config and scheme files produce byte-identical
@@ -28,6 +29,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -54,8 +56,8 @@ from .problems import (
     van_der_pol_problem,
 )
 from .schemes import builtin_registry, load_scheme_file
-from .spectral import (Field, TorusGrid, _as_is, _bool, _checked, _count, _number, _only,
-                       _positives, _read, _read_object, _times, _value, _width, _write_lines,
+from .spectral import (TorusGrid, _as_is, _bool, _checked, _count, _number, _only, _positives,
+                       _read, _read_object, _real, _times, _value, _width, _write_lines,
                        write_field)
 
 __all__ = ["main"]
@@ -151,19 +153,15 @@ def _build_problem(cfg: dict, seed=None):
     if f0.m != prob.m:
         raise ConfigError(f"initial condition has {f0.m} components, problem needs {prob.m}")
     if not f0.data.imag.any():
-        # a real initial state runs in the real layout (float64 samples, half
-        # spectra) for as long as the words applied to it are real
-        f0 = Field._of(grid, f0.data.real.copy(), f0.space)
+        # a real state runs in the real layout for as long as the words applied to it are real
+        f0 = _real(f0)
     return prob, f0
 
 
 def _control_config(block: dict, where: str) -> StepControlConfig:
-    try:
-        return StepControlConfig(**block)
-    except TypeError as exc:
-        raise ConfigError(f"control block: {exc}") from exc
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    _only(block, where, {f.name for f in fields(StepControlConfig)})
+    _value(block, where, "tol", _as_is)  # required; StepControlConfig reads it
+    return _read(lambda b: StepControlConfig(**b), block, where)
 
 
 def _setup(args, command: str, keys):
@@ -303,29 +301,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive operator-splitting integrators on the torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="JSON config file")
+    for name, handler, text in (
+            ("run", _cmd_run, "single integration, trajectory CSV + snapshot"),
+            ("converge", _cmd_converge, "h-sweep with slope report"),
+            ("compare", _cmd_compare, "adaptive vs equidistant efficiency"),
+            ("schemes", _cmd_schemes, "list registered schemes and pairs")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
         p.add_argument("--schemes", action="append", metavar="FILE",
                        help="extra scheme file; repeatable")
-        p.add_argument("--out", help="output directory (default $SPLITSTEP_OUT or .)")
-        p.add_argument("--seed", type=int, help="seed for randomized initial data")
-
-    common(sub.add_parser("run", help="single integration, trajectory CSV + snapshot"))
-    common(sub.add_parser("converge", help="h-sweep with slope report"))
-    common(sub.add_parser("compare", help="adaptive vs equidistant efficiency"))
-    common(sub.add_parser("schemes", help="list registered schemes and pairs"),
-           config_required=False)
+        if handler is not _cmd_schemes:  # the commands that solve from a config
+            p.add_argument("--config", required=True, help="JSON config file")
+            p.add_argument("--out", help="output directory (default $SPLITSTEP_OUT or .)")
+            p.add_argument("--seed", type=int, help="seed for randomized initial data")
     return parser
-
-
-_HANDLERS = {
-    "run": _cmd_run,
-    "converge": _cmd_converge,
-    "compare": _cmd_compare,
-    "schemes": _cmd_schemes,
-}
 
 
 def _steady_heap() -> None:
@@ -345,7 +334,7 @@ def main(argv=None) -> int:
     _steady_heap()  # a CLI process only: library callers keep their allocator
     args = build_parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,8 @@ from .exceptions import ConfigError, NumericalError, ToleranceAbortError
 from .estimators import estimate_step
 from .problems import SplitProblem
 from .schemes import SchemePair, SplittingScheme, compose_step
-from .spectral import (Field, _as_is, _bool, _checked, _count, _number, _read, _times, _width,
-                       _write_lines, to_nodal)
+from .spectral import (Field, _as_is, _bool, _checked, _count, _number, _read, _real, _times,
+                       _width, _write_lines)
 
 __all__ = [
     "StepControlConfig",
@@ -120,26 +120,18 @@ class Trajectory:
 
 
 def next_step_size(h: float, est: float, cfg: StepControlConfig, p: Optional[int] = None) -> float:
-    """Elementary update; see the module docstring for the formula."""
+    """Elementary update (see the module docstring); ``p`` defaults to ``cfg.order_p``."""
     if p is None:
         p = cfg.order_p
     if p is None:
         raise ConfigError("order p unknown: set cfg.order_p or pass p")
+    p = _read(_count, p, "p")
     if est <= 0.0:
         factor = cfg.alpha_max
     else:
         factor = (cfg.alpha * cfg.tol / est) ** (1.0 / (p + 1))
         factor = min(cfg.alpha_max, max(cfg.alpha_min, factor))
     return float(min(cfg.h_max, max(cfg.h_min, h * factor)))
-
-
-def _finish(state: Field, cfg: StepControlConfig) -> Field:
-    if cfg.project_real:
-        # project in physical space, onto the real layout; zeroing modal
-        # imaginary parts would break the Hermitian symmetry of real fields
-        nod = to_nodal(state)
-        return nod if nod.is_real else Field._of(nod.grid, nod.data.real.copy(), nod.space)
-    return state
 
 
 def _abort_at_h_min(h: float, cfg: StepControlConfig, what: str, reason: str):
@@ -185,7 +177,7 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
         h_next = next_step_size(h, res.est_norm, cfg, p)
         if accepted:
             out = res.u_control if cfg.local_extrapolation else res.u_next
-            return _finish(out, cfg), t + h, h_next, records
+            return _real(out) if cfg.project_real else out, t + h, h_next, records
         _abort_at_h_min(h, cfg, f"step at t={t:g}", f"est={res.est_norm:.3e} > tol={cfg.tol:g}")
         h = h_next
 

@@ -42,13 +42,13 @@ from .control import (
     integrate_adaptive,
     integrate_fixed,
 )
-from .estimators import _match_space, estimate_step
+from .estimators import estimate_step
 from .exceptions import NumericalError, ReferenceAccuracyError
 from .problems import GrayScottParams, SplitProblem, _gs_rhs_a, _gs_rhs_b, gs_commutator
 from .schemes import (SchemePair, SchemeRegistry, SplittingScheme, builtin_registry,
                       compose_step, is_self_adjoint)
-from .spectral import (Field, _as_is, _checked, _floats, _positives, _read, _write_lines,
-                       sobolev_norm)
+from .spectral import (Field, _as_is, _bool, _checked, _floats, _in_space, _positives, _read,
+                       _read_only, _write_lines, sobolev_norm)
 
 __all__ = [
     "FixedSolves",
@@ -69,7 +69,7 @@ _KINDS = ("local", "global")  # the error kinds a convergence study measures
 
 
 def _err(a: Field, b: Field, s: float) -> float:
-    return sobolev_norm(a - _match_space(a, b), s)
+    return sobolev_norm(a - _in_space(b, a.space), s)
 
 
 class FixedSolves:
@@ -94,13 +94,6 @@ class FixedSolves:
             out, _ = integrate_fixed(self.prob, scheme, self.f0, t0, t_end, h)
             state = self._states[key] = _read_only(out)
         return state
-
-
-def _read_only(f: Field) -> Field:
-    """``f`` on a read-only view of its values."""
-    data = f.data.view()
-    data.flags.writeable = False
-    return Field._of(f.grid, data, f.space)
 
 
 def _solves_for(prob: SplitProblem, f0: Field, solves: Optional[FixedSolves]) -> FixedSolves:
@@ -179,7 +172,7 @@ def _ladder(solves, scheme, t0, t_end, h, norms, goals, n):
         new = [entry]
         for j, before in enumerate(row):
             weight = 1.0 / (2.0 ** (scheme.order + gain * j) - 1.0)
-            entry = _read_only(entry + (entry - _match_space(entry, before)) * weight)
+            entry = _read_only(entry + (entry - _in_space(before, entry.space)) * weight)
             new.append(entry)
         if row:
             deltas = {s: _err(entry, row[-1], s) for s in norms}
@@ -400,9 +393,10 @@ def efficiency_compare(
     is a step the run cannot take and the startup ramp does not dominate
     the minimum.  The final clipped landing step is likewise excluded
     from the minimum.  The equidistant run uses the bare integrator.
+    The flag ``calibrate`` and the (non-empty) span are read before any trial.
     """
     span = _span(t0, t_end, "efficiency_compare")  # refused before any calibration trial
-    if calibrate and cfg.h_init is None:
+    if _read(_bool, calibrate, "calibrate") and cfg.h_init is None:
         probe = replace(cfg, h_max=max(cfg.h_min, min(cfg.h_max, span)))
         h0 = _first_step(probe, pair, span)
         cfg = replace(cfg, h_init=calibrate_initial_step(prob, pair, f0, probe, h0=h0))

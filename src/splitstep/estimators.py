@@ -7,6 +7,8 @@ run once, then S and the second scheme S~ finish from that state.  The
 control value is S~ for an embedded pair and -gamma/(1-gamma)*S +
 1/(1-gamma)*S~ for a Milne pair, so est = ||(S - S~)/(1-gamma)||; the
 adjoint average (S + S*)/2 is the Milne pair with S~ = S*, gamma = -1.
+S and S~ may end in different spaces; ``spectral._in_space`` brings S~
+and the control value into the space of S with at most one transform.
 
 Norms are the discrete L2 norm over all components by default; a nodal
 max norm is available for controllers that prefer it.
@@ -21,7 +23,7 @@ import numpy as np
 from .exceptions import ConfigError
 from .problems import SplitProblem
 from .schemes import SchemePair, _same_arity, apply_word
-from .spectral import MODAL, Field, quadrature_l2, sobolev_norm, to_modal, to_nodal
+from .spectral import MODAL, Field, _in_space, quadrature_l2, sobolev_norm, to_nodal
 
 __all__ = ["EstimateResult", "controller_norm", "estimate_step"]
 
@@ -49,12 +51,6 @@ def controller_norm(f: Field, kind: str = "l2") -> float:
     raise ConfigError(f"unknown norm kind {kind!r}")
 
 
-def _match_space(ref: Field, other: Field) -> Field:
-    if other.space == ref.space:
-        return other
-    return to_modal(other) if ref.space == MODAL else to_nodal(other)
-
-
 def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
                   norm: str = "l2") -> EstimateResult:
     """One integrator step with its paired local error estimate."""
@@ -66,7 +62,7 @@ def estimate_step(pair: SchemePair, prob: SplitProblem, h: complex, f: Field,
     # an embedded controller's value stays in its own space; Field arithmetic
     # widens a real operand to meet a complex one or a complex weight
     control = u_second if g is None else (u_next * (-g / (1.0 - g))
-                                          + _match_space(u_next, u_second) * (1.0 / (1.0 - g)))
-    diff = u_next - _match_space(u_next, control)
+                                          + _in_space(u_second, u_next.space) * (1.0 / (1.0 - g)))
+    diff = u_next - _in_space(control, u_next.space)
     return EstimateResult(u_next, control, controller_norm(diff, norm),
                           n_pref + n_int + n_second)

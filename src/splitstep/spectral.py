@@ -35,6 +35,12 @@ otherwise widens it to the complex layout first (``_widen``: nodal data by
 ``astype``, a half spectrum by Hermitian expansion, no FFT).  Arithmetic
 between the two layouts widens the real operand.
 
+Every change of a field's representation is made here: by the transforms,
+``_widen``, and three rules, ``_in_space`` (at most one transform into a
+space), ``_real`` (the real layout of a field's nodal real part) and
+``_read_only`` (a shared state, marked as ``_grid_cache`` marks its arrays).
+Outside this module only the adaptors ``problems._nodal``/``_modal`` call ``Field._of``.
+
 Derivative multipliers are sigma(k) = (i*pi/a)^|alpha| * k^alpha.  Odd
 derivative orders zero the Nyquist column (the cosine mode has no
 well-defined odd derivative on the grid).  The Laplacian multiplier uses
@@ -337,6 +343,25 @@ def to_nodal(f: Field) -> Field:
     return Field._of(f.grid, u, NODAL)
 
 
+def _in_space(f: Field, space: str) -> Field:
+    """``f`` if it is in ``space``, else its one transform into ``space``."""
+    return f if f.space == space else to_modal(f) if space == MODAL else to_nodal(f)
+
+
+def _real(f: Field) -> Field:
+    """The real layout of ``f``'s nodal real part (``to_nodal(f)`` if already real); nodal,
+    since zeroing modal imaginary parts would break the Hermitian symmetry of real fields."""
+    u = to_nodal(f)
+    return u if u.is_real else Field._of(u.grid, u.data.real.copy(), NODAL)
+
+
+def _read_only(f: Field) -> Field:
+    """``f`` on a read-only view of its values, for a state that callers share."""
+    data = f.data.view()
+    data.flags.writeable = False
+    return Field._of(f.grid, data, f.space)
+
+
 def apply_symbol(f: Field, sigma) -> Field:
     """Multiply each modal coefficient by sigma(k).
 
@@ -410,7 +435,7 @@ def dealias_23(f: Field) -> Field:
     """Zero all modes with any |k_j| > n/3 (2/3 rule)."""
     c = to_modal(f)
     res = Field._of(f.grid, c.data * _dealias_keep(f.grid, c.is_real), MODAL)
-    return res if f.space == MODAL else to_nodal(res)
+    return _in_space(res, f.space)
 
 
 def modal_tail_fraction(f: Field) -> float:

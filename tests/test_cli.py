@@ -239,7 +239,7 @@ def test_unknown_control_key(tmp_path, capsys):
     err = expect_exit_2(
         tmp_path, capsys, gs_config(control={"tol": 1e-4, "bogus": 1})
     )
-    assert "control block" in err
+    assert err == "error: run.control takes no ['bogus']\n"
 
 
 def test_invalid_control_value(tmp_path, capsys):
@@ -257,10 +257,13 @@ def test_unreachable_tolerance_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
-def test_bad_subcommand_is_usage_error():
-    with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
+def test_bad_subcommand_is_usage_error(capsys):
+    # schemes reads no config and writes no file: it takes only --schemes
+    for argv in (["frobnicate"], ["schemes", "--out", "d"], ["schemes", "--seed", "3"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------ schemes
@@ -724,6 +727,9 @@ def _control(**over):
         ("converge", converge_config(hs=[0.02, -0.01]), "converge.hs"),
         ("run", {**gs_config(), "problem": {**gs_config()["problem"], "params": {"alpha": "x"}}},
          "problem.params"),
+        ("compare", compare_config(control={"tol": 1e-3, "bogus": 1}),
+         "compare.control takes no ['bogus']"),
+        ("run", gs_config(control={"h_init": 1e-3}), "run.control needs 'tol'"),
     ],
 )
 def test_bad_flag_control_or_converge_value_exits_2_before_any_solve(

@@ -86,6 +86,11 @@ def test_update_rule_requires_order():
         next_step_size(0.1, 1e-6, cfg)
     cfg2 = StepControlConfig(tol=1e-5, order_p=1)
     assert next_step_size(0.1, 1e-6, cfg2) == next_step_size(0.1, 1e-6, cfg, p=1)
+    # p is read as cfg.order_p is
+    for p, want in ((-1, "a positive integer"), (0, "a positive integer"),
+                    ("2", "an integer"), (1.5, "an integer"), (True, "an integer")):
+        with pytest.raises(ConfigError, match=f"^p: expected {want}, got {p!r}$"):
+            next_step_size(0.1, 1e-6, cfg, p=p)
 
 
 def test_config_validation():

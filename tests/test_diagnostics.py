@@ -649,3 +649,17 @@ def test_global_reference_of_a_stiff_lie_study_stops_on_the_study_goal(monkeypat
     # the floor meets the error term of the study's goal in every norm
     for s in (0.0, 1.0):
         assert rep.ref_floor[s] <= 1e-2 * rep.global_[s][-1]
+
+
+@pytest.mark.parametrize("calibrate", ["no", 1, None])
+def test_efficiency_compare_reads_calibrate_as_a_flag_before_any_solve(monkeypatch, calibrate):
+    # read as the CLI's compare.calibrate is, before any calibration trial
+    import splitstep.control as control
+
+    trials = []
+    monkeypatch.setattr(control, "estimate_step", lambda *a, **kw: trials.append(a))
+    with pytest.raises(ConfigError,
+                       match=f"^calibrate: expected true or false, got {calibrate!r}$"):
+        efficiency_compare(lin_prob(), REG.pair("lie-avg"), lin_state(), 0.0, 0.5,
+                           StepControlConfig(tol=1e-6), calibrate=calibrate)
+    assert trials == []

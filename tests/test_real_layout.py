@@ -34,11 +34,10 @@ from splitstep import (
     van_der_pol_problem,
 )
 from splitstep import cli
-from splitstep.control import StepControlConfig, _finish
 from splitstep.estimators import estimate_step
 from splitstep.problems import _vdp_factors, gs_linear_flow, vdp_linear_flow
 from splitstep.schemes import apply_word
-from splitstep.spectral import MODAL, NODAL, _widen
+from splitstep.spectral import MODAL, NODAL, _real, _widen
 
 REG = builtin_registry()
 GRIDS = [TorusGrid(1, 1.0, 16), TorusGrid(1, 2.0, 64), TorusGrid(2, 1.5, 8),
@@ -274,11 +273,10 @@ def test_project_real_returns_the_real_layout():
     prob = gray_scott_problem(GS_GRID)
     fr, fc = gs_state()
     out = compose_step(REG.scheme("comp3c"), prob, 0.02, fc)
-    cfg = StepControlConfig(tol=1e-3, project_real=True)
-    got = _finish(out, cfg)
+    got = _real(out)
     assert got.is_real and got.space == NODAL and got.data.dtype == np.float64
     assert np.array_equal(got.data, to_nodal(out).data.real)
-    assert _finish(fr, cfg) is fr
+    assert _real(fr) is fr
 
 
 def test_apply_word_counts_no_flow_for_zero_letters_in_either_layout():

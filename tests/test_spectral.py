@@ -445,3 +445,35 @@ def test_field_file_bytes_are_pinned(tmp_path):
     assert p.read_bytes() == (
         b"splitstep-field 1 1 1.0 4 1\n0.5 0.0\n-0.0 0.0\n1.25 2.0\n-3.0 -0.5\n"
     )
+
+
+def test_only_spectral_and_the_operator_adaptors_call_field_of():
+    # every change of a field's representation lives in spectral; outside it
+    # only problems' two adaptors wrap the arrays their kernels return
+    import ast
+    from pathlib import Path
+
+    import splitstep
+
+    callers = set()
+    for path in Path(splitstep.__file__).parent.glob("*.py"):
+        if path.stem == "spectral":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "_of"
+                        and isinstance(node.value, ast.Name) and node.value.id == "Field"):
+                    callers.add((path.stem, getattr(top, "name", None), node.lineno))
+    assert {(stem, name) for stem, name, _ in callers} == {("problems", "_nodal"),
+                                                          ("problems", "_modal")}, callers
+
+
+@pytest.mark.parametrize("space", ["nodal", "modal"])
+def test_in_space_transforms_only_a_field_in_the_other_space(space):
+    from splitstep.spectral import _in_space
+
+    f = random_field(GRIDS[0], m=2, seed=5)
+    same, other = (f, to_modal(f)) if space == "nodal" else (to_modal(f), f)
+    assert _in_space(same, space) is same
+    out, want = _in_space(other, space), (to_nodal if space == "nodal" else to_modal)(other)
+    assert out.space == space and np.array_equal(out.data, want.data)

@@ -8,7 +8,8 @@ package; CONFIG is a config file with a ``problem`` block and an adaptive
 are imported fresh into this one process, each as its own module objects,
 and each builds the run as the CLI does: ``cli._build_problem`` gives the
 problem and the initial state, the run block's ``pair`` comes from the
-built-in registry, its ``control`` block becomes a ``StepControlConfig``,
+built-in registry, its ``control`` block becomes a ``StepControlConfig``
+through ``cli._control_config`` (so it refuses what the CLI refuses),
 and the first step size is the one ``integrate_adaptive`` starts with.
 
 After one untimed warm-up run per tree, each rep times the first N
@@ -56,9 +57,13 @@ class _Run:
     def __init__(self, src: Path, cfg: dict):
         cli, control, schemes = _load(src)
         run = cfg["run"]
-        self.prob, self.f0 = cli._build_problem(cfg)
-        self.pair = schemes.builtin_registry().pair(run["pair"])
-        self.ctrl = control.StepControlConfig(**run.get("control", {}))
+        try:
+            self.prob, self.f0 = cli._build_problem(cfg)
+            self.pair = schemes.builtin_registry().pair(run["pair"])
+            self.ctrl = cli._control_config(run.get("control", {}), "run.control")
+        except cli.ConfigError as exc:  # this tree's own class
+            print(f"{src}: error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
         self.step = control.step_adaptive
         self.t0, self.t_end = float(run.get("t0", 0.0)), float(run["t_end"])
         self.h0 = control._first_step(self.ctrl, self.pair, self.t_end - self.t0)
