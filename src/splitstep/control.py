@@ -11,10 +11,20 @@ and retried with the shrunken step; an attempt whose flows fail is
 rejected too and retried with h*alpha_min, also in calibration.  Hitting
 h_min while still failing aborts the run.  The step advances with the
 integrator value S(h, u); local extrapolation (the control value) is opt-in.
+
+Within a run, every step the controller proposes is rounded down to the
+run's own geometric grid h0*2^(k/32), k an integer, and then clipped up to
+h_min.  The anchor h0 is the run's first step, so the first step is h0
+itself and a x4 growth or x1/4 shrink is exact (k +- 64).  The same steps
+recur, so the operators' flow factors, cached per step, are reused.  The
+final step is still clipped to land on t_end.  Neither
+:func:`next_step_size`, the public update rule, nor the calibration rounds:
+they know no anchor.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
@@ -119,13 +129,23 @@ class Trajectory:
         return [r for r in self.records if r.accepted]
 
 
+_estimate = _checked(_number, lambda x: x >= 0, "a number >= 0 or inf")  # NaN too
+
+
 def next_step_size(h: float, est: float, cfg: StepControlConfig, p: Optional[int] = None) -> float:
-    """Elementary update (see the module docstring); ``p`` defaults to ``cfg.order_p``."""
+    """Elementary update (see the module docstring); ``p`` defaults to
+    ``cfg.order_p``.  ``h``, ``est`` and ``p`` are read first: a refusal is
+    a ConfigError that names the argument."""
     if p is None:
         p = cfg.order_p
     if p is None:
         raise ConfigError("order p unknown: set cfg.order_p or pass p")
-    p = _read(_count, p, "p")
+    return _next_step(_read(_width, h, "h"), _read(_estimate, est, "est"), cfg,
+                      _read(_count, p, "p"))
+
+
+def _next_step(h: float, est: float, cfg: StepControlConfig, p: int) -> float:
+    """:func:`next_step_size` on values already read."""
     if est <= 0.0:
         factor = cfg.alpha_max
     else:
@@ -144,20 +164,43 @@ def _order(cfg: StepControlConfig, pair: SchemePair) -> int:  # p of the update 
     return cfg.order_p if cfg.order_p is not None else pair.order
 
 
-def _trial(prob: SplitProblem, pair: SchemePair, h: float, f: Field,
-           cfg: StepControlConfig, p: int, records: list, t: Optional[float] = None):
+_MANTISSAS = tuple(2.0 ** (j / 32) for j in range(32))  # the step grid's 2^(j/32)
+
+
+class _Run:
+    """What an adaptive run fixes once: its config, pair and order ``p``
+    of the update rule, and the anchor ``h0`` of its step grid (None in
+    calibration, whose steps are not rounded)."""
+
+    __slots__ = ("cfg", "pair", "p", "h0")
+
+    def __init__(self, cfg: StepControlConfig, pair: SchemePair, h0: Optional[float]):
+        self.cfg, self.pair, self.p, self.h0 = cfg, pair, _order(cfg, pair), h0
+
+    def next(self, h: float, est: float) -> float:
+        """The update rule's step, rounded down to the grid, at least h_min."""
+        h = _next_step(h, est, self.cfg, self.p)
+        if self.h0 is None:
+            return h
+        k = math.floor(32 * math.log2(h / self.h0)) + 1  # the log's roundoff moves k by one at most
+        while (on_grid := math.ldexp(self.h0 * _MANTISSAS[k % 32], k // 32)) > h:
+            k -= 1  # h0 * 2^(k/32), computed so that the same k gives the same float
+        return max(self.cfg.h_min, on_grid)
+
+
+def _trial(prob: SplitProblem, run: _Run, h: float, f: Field, records: list,
+           t: Optional[float] = None):
     """(estimate, h) of the first trial step from ``f`` whose flows do not
     fail: a failed one is a rejection (est None, 0 flows) retried at
     h*alpha_min, down to h_min.  ``t`` is None in calibration."""
-    _read(_width, h, "h")  # NaN too; an infinite h is retried without end
     while True:
         try:
-            return estimate_step(pair, prob, h, f, norm=cfg.norm), h
+            return estimate_step(run.pair, prob, h, f, norm=run.cfg.norm), h
         except NumericalError as exc:
             records.append(StepRecord(t, h, None, False, 0))
             what = "calibration step" if t is None else f"step at t={t:g}"
-            _abort_at_h_min(h, cfg, what, f"trial step failed: {exc}")
-            h = next_step_size(h, np.inf, cfg, p)
+            _abort_at_h_min(h, run.cfg, what, f"trial step failed: {exc}")
+            h = run.next(h, np.inf)
 
 
 def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
@@ -166,15 +209,22 @@ def step_adaptive(prob: SplitProblem, pair: SchemePair, t: float, h: float,
 
     Returns (state, t_new, h_next, records) where records holds every
     attempt including rejected ones.  A trial step whose flows fail is
-    rejected too, with est None and 0 flow evaluations.
+    rejected too, with est None and 0 flow evaluations.  ``h``, which must
+    be positive and finite, anchors the step grid that the retried and the
+    returned steps lie on.
     """
-    p = _order(cfg, pair)
-    records = []
+    _read(_width, h, "h")  # NaN too; an infinite h is retried without end
+    return _step(prob, _Run(cfg, pair, h), t, h, f)
+
+
+def _step(prob: SplitProblem, run: _Run, t: float, h: float, f: Field):
+    """:func:`step_adaptive` within ``run``, from a step already read."""
+    cfg, records = run.cfg, []
     while True:
-        res, h = _trial(prob, pair, h, f, cfg, p, records, t)
+        res, h = _trial(prob, run, h, f, records, t)
         accepted = res.est_norm <= cfg.reject_threshold * cfg.tol
         records.append(StepRecord(t, h, res.est_norm, accepted, res.flow_evals))
-        h_next = next_step_size(h, res.est_norm, cfg, p)
+        h_next = run.next(h, res.est_norm)
         if accepted:
             out = res.u_control if cfg.local_extrapolation else res.u_next
             return _real(out) if cfg.project_real else out, t + h, h_next, records
@@ -220,11 +270,11 @@ def integrate_adaptive(prob: SplitProblem, pair: SchemePair, f0: Field,
         return f0, traj
     start = time.perf_counter()
     h = _first_step(cfg, pair, span)
+    run = _Run(cfg, pair, h)
     t, f = t0, f0
     n_acc = 0
     while t < t_end:
-        h_try = min(h, t_end - t)
-        f, t, h, recs = step_adaptive(prob, pair, t, h_try, f, cfg)
+        f, t, h, recs = _step(prob, run, t, min(h, t_end - t), f)
         traj.records.extend(recs)
         if t_end - t <= 1e-14 * span:
             t = t_end
@@ -276,11 +326,11 @@ def calibrate_initial_step(prob: SplitProblem, pair: SchemePair, f0: Field,
     """
     _read(_width, h0, "h0")
     _read(_count, iters, "iters")
-    p = _order(cfg, pair)
+    run = _Run(cfg, pair, None)
     h = h0
     for _ in range(iters):
-        res, h = _trial(prob, pair, h, f0, cfg, p, [])
-        h = next_step_size(h, res.est_norm, cfg, p)
+        res, h = _trial(prob, run, h, f0, [])
+        h = run.next(h, res.est_norm)
     return h
 
 

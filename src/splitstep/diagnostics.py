@@ -47,8 +47,8 @@ from .exceptions import NumericalError, ReferenceAccuracyError
 from .problems import GrayScottParams, SplitProblem, _gs_rhs_a, _gs_rhs_b, gs_commutator
 from .schemes import (SchemePair, SchemeRegistry, SplittingScheme, builtin_registry,
                       compose_step, is_self_adjoint)
-from .spectral import (Field, _as_is, _bool, _checked, _floats, _in_space, _positives, _read,
-                       _read_only, _write_lines, sobolev_norm)
+from .spectral import (Field, _as_is, _bool, _checked, _floats, _in_space, _integer, _positives,
+                       _read, _read_only, _write_lines, sobolev_norm)
 
 __all__ = [
     "FixedSolves",
@@ -125,7 +125,9 @@ def reference_solution(
     info = {"scheme", "h", "floor": {s: the rung's delta}}; the state is
     read-only: ``f0`` for an empty span (a backward or non-finite one is
     refused).  ``solves`` shares solves with callers from the same (prob, f0).
+    ``max_halvings`` is an integer >= 0.
     """
+    _read(_checked(_integer, lambda n: n >= 0, "an integer >= 0"), max_halvings, "max_halvings")
     if scheme is None:
         reg = registry if registry is not None else builtin_registry()
         scheme = reg.reference_scheme(arity=prob.arity)

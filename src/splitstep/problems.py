@@ -39,10 +39,11 @@ exp(symbol * t), which ``_gs_factor``, ``_vdp_factors`` and
 ``_linear_factor`` build and cache, read-only, per (grid, params, t,
 layout); a float t gives real factors in the half layout.  The same t
 recurs within a step (an estimator's second word repeats the
-integrator's A-times) and on every step of a fixed-step run.  An
-adaptive run misses the cache on every step, so the van der Pol factors
-build their series for near-defective modes (|delta*t| < 1e-6) only when
-some mode is one.  Each cache
+integrator's A-times), on every step of a fixed-step run, and from step
+to step of an adaptive run, whose steps ``control`` rounds to a grid
+anchored at the run's first step.  The van der Pol factors build their
+series for near-defective modes (|delta*t| < 1e-6) only when some mode
+is one.  Each cache
 keeps ``_FLOW_TIMES`` = 3 entries, the most distinct A-times a built-in
 scheme has in one step (``comp3c`` and ``emb2c``): two would thrash on
 ``comp3c``'s three, and more would only hold more field-sized factors on

@@ -1,6 +1,8 @@
 """Step-size controller, adaptive/fixed drivers, trajectory output."""
 
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from splitstep import (
     ToleranceAbortError,
     TorusGrid,
     UnstableStepError,
+    VdpParams,
     builtin_registry,
     calibrate_initial_step,
     compose_step,
@@ -26,8 +29,10 @@ from splitstep import (
     next_step_size,
     step_adaptive,
     to_nodal,
+    van_der_pol_problem,
     write_trajectory_csv,
 )
+from splitstep import problems, spectral
 
 REG = builtin_registry()
 GRID = TorusGrid(1, 1.0, 16)
@@ -91,6 +96,21 @@ def test_update_rule_requires_order():
                     ("2", "an integer"), (1.5, "an integer"), (True, "an integer")):
         with pytest.raises(ConfigError, match=f"^p: expected {want}, got {p!r}$"):
             next_step_size(0.1, 1e-6, cfg, p=p)
+
+
+@pytest.mark.parametrize("h, est, refused", [
+    (-1.0, 1e-6, "h: expected a positive finite number, got -1.0"),
+    (np.nan, 1e-6, "h: expected a positive finite number, got nan"),
+    ("0.1", 1e-6, "h: expected a number, got '0.1'"),
+    (0.1, -1.0, "est: expected a number >= 0 or inf, got -1.0"),
+    (0.1, np.nan, "est: expected a number >= 0 or inf, got nan"),
+])
+def test_update_rule_reads_h_and_est(h, est, refused):
+    # -1.0 and NaN returned h_min, "0.1" raised TypeError, and est -1.0 grew h by alpha_max
+    cfg = StepControlConfig(tol=1e-5)
+    with pytest.raises(ConfigError, match=f"^{re.escape(refused)}$"):
+        next_step_size(h, est, cfg, p=1)
+    assert next_step_size(0.1, np.inf, cfg, p=1) == 0.1 * cfg.alpha_min  # a failed trial
 
 
 def test_config_validation():
@@ -353,6 +373,58 @@ def test_failing_trial_steps_still_abort_at_h_min():
     cfg = StepControlConfig(tol=1e-6, h_init=0.01, h_min=1e-3)
     with pytest.raises(ToleranceAbortError, match="trial step failed"):
         step_adaptive(prob, REG.pair("lie-avg"), 0.0, 0.01, f, cfg)
+
+
+# ---------------------------------------------------------------------------
+# step grid and per-run state
+
+
+def vdp_run(t_end):
+    grid = TorusGrid(1, np.pi, 32)
+    prob = van_der_pol_problem(grid, VdpParams(eps=1e-2))
+    return integrate_adaptive(prob, REG.pair("lie-milne"), initial_condition("vdp_gaussians", grid),
+                              0.0, t_end, StepControlConfig(tol=1e-3))[1]
+
+
+@pytest.fixture(scope="module")
+def vdp_traj():
+    """A run of some 5,000 attempts, with the factor builds it made."""
+    problems._vdp_factors.cache_clear()
+    traj = vdp_run(0.3)
+    return traj, problems._vdp_factors.cache_info().misses
+
+
+def test_adaptive_steps_lie_on_the_grid_anchored_at_the_first_step(vdp_traj):
+    traj, _ = vdp_traj
+    h0, hs = traj.records[0].h, [r.h for r in traj.accepted_steps()]
+    assert len(set(hs)) > 5 and sum(hs) == pytest.approx(0.3, rel=1e-12)
+    for h in hs[:-1]:  # the last step is clipped to land on t_end
+        k = round(32 * math.log2(h / h0))
+        assert h == math.ldexp(h0 * 2 ** (k % 32 / 32), k // 32)
+
+
+def test_adaptive_steps_reuse_their_flow_factors(vdp_traj):
+    # off the grid, every attempt built its own factors
+    traj, builds = vdp_traj
+    assert builds <= 0.1 * len(traj.records)
+
+
+def test_the_step_loop_reads_no_input_per_attempt(monkeypatch):
+    read, calls = spectral._read, []
+
+    def counted(*args):
+        calls.append(args[2])
+        return read(*args)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("splitstep")]:
+        if getattr(mod, "_read", None) is read:
+            monkeypatch.setattr(mod, "_read", counted)
+    short = vdp_run(0.02)
+    per_run = list(calls)
+    calls.clear()
+    long = vdp_run(0.1)
+    assert len(long.records) > 5 * len(short.records)
+    assert calls == per_run
 
 
 # ---------------------------------------------------------------------------

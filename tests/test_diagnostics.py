@@ -114,6 +114,17 @@ def test_reference_solution_refuses_a_backward_or_non_finite_span(t0, t_end):
         reference_solution(lin_prob(), lin_state(), t0, t_end)
 
 
+@pytest.mark.parametrize("n, want", [(-1, "an integer >= 0"), (1.5, "an integer"),
+                                     ("3", "an integer"), (True, "an integer")])
+def test_reference_solution_reads_max_halvings_before_any_solve(monkeypatch, n, want):
+    # -1 raised ReferenceAccuracyError after a solve, 1.5 and "3" TypeError; True ran one halving
+    solves = []
+    monkeypatch.setattr(diagnostics, "integrate_fixed", lambda *a, **kw: solves.append(a))
+    with pytest.raises(ConfigError, match=f"^max_halvings: expected {want}, got {n!r}$"):
+        reference_solution(lin_prob(), lin_state(), 0.0, 0.1, max_halvings=n)
+    assert solves == []
+
+
 # ---------------------------------------------------------------------------
 # fixed-step memo and one-step reference ladders
 

@@ -16,7 +16,9 @@ After one untimed warm-up run per tree, each rep times the first N
 accepted steps (``step_adaptive``, rejected attempts included) from the
 initial state under both trees: the parent first in even reps, the change
 first in odd ones, so that a drift of the host's speed falls on both
-alike.  The step size changes every step, as in the full run.
+alike.  Each step is one call of ``step_adaptive``, which anchors its step
+grid at the step it is given, where the full run anchors it once, at its
+first step; so the steps can differ from the full run's.
 
 It prints each tree's median microseconds per accepted step with its
 attempt count, the median and quartiles over the reps of the ratio
